@@ -20,14 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .exponents import UPPER_BOUND_MAX_X, upper_bound_exponent
-from .graphs import (
-    DENSE_LIMIT,
-    Graph,
-    bfs_distances,
-    distance_matrix,
-    distances_from,
-    is_connected,
-)
+from .graphs import Graph, _distance_blocks, distances_from, is_connected
 from .seeding import CANDIDATE, CENSUS_SET, FAILURE_TRIAL, substream
 from .signatures import KIND_MULTISET, verify_resolving
 
@@ -125,10 +118,15 @@ class ConstructionResult:
         }
 
 
-def _round_rows(g: Graph, members: np.ndarray, dm: np.ndarray | None) -> np.ndarray:
-    if dm is not None:
-        return dm[members, :]
-    return distances_from(g, [int(v) for v in members])
+def _member_rows(
+    g: Graph, members: np.ndarray, prev_members: np.ndarray, prev_rows: np.ndarray
+) -> np.ndarray:
+    """Distance rows of sorted `members`, copied for vertices in the previous draw."""
+    kept = np.isin(members, prev_members)
+    rows = np.empty((members.size, g.n), dtype=np.int32)
+    rows[kept] = prev_rows[np.searchsorted(prev_members, members[kept])]
+    rows[~kept] = distances_from(g, members[~kept])
+    return rows
 
 
 def construct_resolving(g: Graph, spec: CandidateSpec) -> ConstructionResult:
@@ -136,11 +134,13 @@ def construct_resolving(g: Graph, spec: CandidateSpec) -> ConstructionResult:
 
     The returned set is re-verified from scratch before being reported; a
     verdict from the loop is never trusted directly.  Failure after
-    max_rounds carries the last collision witness.
+    max_rounds carries the last collision witness.  Only the last two draws'
+    distance rows are held, never n x n, and a round that redraws the last
+    verified set (every round once r reaches n) reuses its verdict.
     """
     if not is_connected(g):
         raise ValueError("construction requires a connected graph")
-    dm = distance_matrix(g) if g.n <= DENSE_LIMIT else None
+    prev_members, prev_rows = np.empty(0, dtype=np.int64), np.empty((0, g.n), dtype=np.int32)
     records: list[RoundRecord] = []
     target = float(spec.r)
     for t in range(spec.max_rounds):
@@ -152,8 +152,10 @@ def construct_resolving(g: Graph, spec: CandidateSpec) -> ConstructionResult:
             )
             target *= spec.growth
             continue
-        rows = _round_rows(g, members, dm)
-        verdict = verify_resolving(g, members, KIND_MULTISET, rows=rows)
+        if not np.array_equal(members, prev_members):
+            prev_rows = _member_rows(g, members, prev_members, prev_rows)
+            prev_members = members
+            verdict = verify_resolving(g, members, KIND_MULTISET, rows=prev_rows)
         records.append(
             RoundRecord(
                 round=t,
@@ -201,7 +203,7 @@ def estimate_failure_rate(g: Graph, r: float, trials: int, seed: int) -> Failure
         raise ValueError("need at least one trial")
     if r < 0:
         raise ValueError("target size must be non-negative")
-    dm = distance_matrix(g) if g.n <= DENSE_LIMIT else None
+    prev_members, prev_rows = np.empty(0, dtype=np.int64), np.empty((0, g.n), dtype=np.int32)
     prob = min(r / g.n, 1.0)
     failures = 0
     for t in range(trials):
@@ -210,8 +212,10 @@ def estimate_failure_rate(g: Graph, r: float, trials: int, seed: int) -> Failure
         if members.size == 0:
             failures += 1
             continue
-        rows = _round_rows(g, members, dm)
-        verdict = verify_resolving(g, members, KIND_MULTISET, rows=rows)
+        if not np.array_equal(members, prev_members):
+            prev_rows = _member_rows(g, members, prev_members, prev_rows)
+            prev_members = members
+            verdict = verify_resolving(g, members, KIND_MULTISET, rows=prev_rows)
         if not verdict.resolving:
             failures += 1
     return FailureRateResult(trials=trials, failures=failures)
@@ -277,32 +281,20 @@ def typicality_census(g: Graph, R: Sequence[int], k: int) -> TypicalityReport:
     n = g.n
     r_size = len(members)
 
-    if n <= DENSE_LIMIT:
-        dm = distance_matrix(g)
-        diam = int(dm.max())
-        if k > diam:
-            raise ValueError(f"k={k} exceeds diameter {diam}")
-        ball = np.empty((k + 1, n), dtype=np.int64)
-        ball_r = np.empty((k + 1, n), dtype=np.int64)
-        sub = dm[:, members]
+    # ball_r[i, v] counts the sensors within distance i of v, read off the
+    # sensor rows by symmetry; ball sizes accumulate over streamed blocks.
+    sensor_rows = distances_from(g, members)
+    ball = np.empty((k + 1, n), dtype=np.int64)
+    ball_r = np.empty((k + 1, n), dtype=np.int64)
+    for i in range(k + 1):
+        ball_r[i] = (sensor_rows <= i).sum(axis=0)
+    diam = 0
+    for start, block in _distance_blocks(g, range(n)):
+        diam = max(diam, int(block.max()))
         for i in range(k + 1):
-            ball[i] = (dm <= i).sum(axis=1)
-            ball_r[i] = (sub <= i).sum(axis=1)
-        sensor_rows = dm[members, :]
-    else:
-        sensor_rows = distances_from(g, members)
-        ball_r = np.empty((k + 1, n), dtype=np.int64)
-        for i in range(k + 1):
-            ball_r[i] = (sensor_rows <= i).sum(axis=0)
-        ball = np.zeros((k + 1, n), dtype=np.int64)
-        observed_max = 0
-        for v in range(n):
-            row = bfs_distances(g, [v])
-            observed_max = max(observed_max, int(row.max()))
-            for i in range(k + 1):
-                ball[i, v] = int((row <= i).sum()) - int((row < 0).sum())
-        if k > observed_max:
-            raise ValueError(f"k={k} exceeds diameter {observed_max}")
+            ball[i, start : start + len(block)] = (block <= i).sum(axis=1)
+    if k > diam:
+        raise ValueError(f"k={k} exceeds diameter {diam}")
 
     factor = 2.0 * (k + 1) * r_size / n
     atypical = np.zeros((k + 1, n), dtype=bool)

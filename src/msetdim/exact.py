@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, bfs_distances
+from .graphs import Graph, distances_from
 from .signatures import KIND_METRIC, KIND_MULTISET, KIND_OUTER
 
 DEFAULT_BUDGET = 16
@@ -80,10 +80,6 @@ def _check_budget(g: Graph, budget: int) -> None:
         )
 
 
-def _distance_rows(g: Graph) -> list[list[int]]:
-    return [bfs_distances(g, [v]).tolist() for v in range(g.n)]
-
-
 def _is_resolving(
     rows: list[list[int]], n: int, members: tuple[int, ...], kind: str, buckets: int
 ) -> bool:
@@ -121,7 +117,7 @@ def _search(
     g: Graph, kind: str, budget: int, size_limit: int | None = None
 ) -> SearchOutcome:
     _check_budget(g, budget)
-    rows = _distance_rows(g)
+    rows = distances_from(g, range(g.n)).tolist()
     n = g.n
     top = max(max(r) for r in rows)
     buckets = top + 2  # one histogram slot per distance plus the unreachable slot
@@ -208,7 +204,7 @@ def find_monotonicity_violation(
     or None if the graph has no resolving set at all (or no violation).
     """
     _check_budget(g, budget)
-    rows = _distance_rows(g)
+    rows = distances_from(g, range(g.n)).tolist()
     n = g.n
     top = max(max(r) for r in rows)
     buckets = top + 2

@@ -18,9 +18,13 @@ from .seeding import AUDIT_PAIRS, AUDIT_SINGLES, GNP_EDGES, substream
 
 UNREACHABLE = -1
 
-# Largest vertex count for which all-pairs distance matrices are built; above
-# this, callers fall back to per-source sweeps.
+# Largest vertex count the signature embeddings accept: their distortion
+# summaries compare every vertex pair through one n x n distance matrix.
 DENSE_LIMIT = 4096
+
+# Sources per BFS kernel call: each vertex keeps one bit per source in a
+# single uint64 word.
+BLOCK = 64
 
 
 class GraphFormatError(ValueError):
@@ -116,13 +120,6 @@ class Graph:
     @property
     def average_degree(self) -> float:
         return 2.0 * self.num_edges / self.n
-
-    def to_csr(self):
-        """Adjacency as a scipy CSR matrix (unit weights)."""
-        from scipy.sparse import csr_matrix
-
-        data = np.ones(len(self._indices), dtype=np.int8)
-        return csr_matrix((data, self._indices, self._indptr), shape=(self.n, self.n))
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -224,26 +221,63 @@ def bfs_spheres(g: Graph, sources: Sequence[int]) -> SphereTable:
     return SphereTable(sources=tuple(int(s) for s in src), dist=dist)
 
 
+def _bfs_block(g: Graph, src: np.ndarray) -> np.ndarray:
+    """(len(src), n) int32 BFS distances from each of at most BLOCK sources.
+
+    Level-synchronous and bit-parallel: bit j of a vertex's word is set once
+    the search from src[j] has reached it, so one level of all the searches
+    is one OR over every vertex's neighbor words.
+    """
+    n, k = g.n, src.size
+    indptr, indices = g._indptr, g._indices
+    dist = np.full((n, k), UNREACHABLE, dtype=np.int32)
+    cols = np.arange(k)
+    dist[src, cols] = 0
+    frontier = np.zeros(n, dtype=np.uint64)
+    np.bitwise_or.at(frontier, src, np.left_shift(np.uint64(1), cols.astype(np.uint64)))
+    visited = frontier.copy()
+    # reduceat reads an empty segment as its first element, so vertices of
+    # degree 0 are left out and keep an empty word
+    linked = np.flatnonzero(np.diff(indptr))
+    starts = indptr[linked]
+    for level in range(1, n):
+        reached = np.zeros(n, dtype=np.uint64)
+        reached[linked] = np.bitwise_or.reduceat(frontier[indices], starts)
+        frontier = reached & ~visited
+        touched = np.flatnonzero(frontier)
+        if touched.size == 0:
+            break
+        visited |= frontier
+        words = frontier[touched].astype("<u8").view(np.uint8).reshape(-1, 8)
+        new = np.unpackbits(words, axis=1, count=k, bitorder="little").view(bool)
+        dist[touched] = np.where(new, level, dist[touched])
+    return np.ascontiguousarray(dist.T)
+
+
+def _distance_blocks(g: Graph, probes: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, distances_from(g, probes[start : start + BLOCK])) per block."""
+    src = np.asarray(probes, dtype=np.int64).reshape(-1)
+    if src.size and (src.min() < 0 or src.max() >= g.n):
+        raise ValueError("source vertex out of range")
+    for start in range(0, src.size, BLOCK):
+        yield start, _bfs_block(g, src[start : start + BLOCK])
+
+
 def distances_from(g: Graph, probes: Sequence[int]) -> np.ndarray:
     """(len(probes), n) matrix of single-source BFS distances."""
     rows = np.empty((len(probes), g.n), dtype=np.int32)
-    for i, p in enumerate(probes):
-        rows[i] = bfs_distances(g, [p])
+    for start, block in _distance_blocks(g, probes):
+        rows[start : start + len(block)] = block
     return rows
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs distances (int32, UNREACHABLE sentinel).
 
-    Uses scipy's C BFS for n <= DENSE_LIMIT; larger graphs fall back to
-    per-source sweeps and can be slow.
+    Computed BLOCK sources at a time by the bit-parallel BFS kernel.  The
+    result takes 4 * n**2 bytes (1.6 GB at n = 20000), so code that only
+    needs a statistic of all pairs streams the blocks instead.
     """
-    if g.n <= DENSE_LIMIT:
-        from scipy.sparse.csgraph import dijkstra
-
-        dm = dijkstra(g.to_csr(), directed=True, unweighted=True)
-        out = np.where(np.isinf(dm), UNREACHABLE, dm).astype(np.int32)
-        return out
     return distances_from(g, range(g.n))
 
 
@@ -252,17 +286,16 @@ def is_connected(g: Graph) -> bool:
 
 
 def diameter(g: Graph) -> int | float:
-    """Exact diameter; math.inf when the graph is disconnected."""
-    if g.n == 1:
-        return 0
-    first = bfs_distances(g, [0])
-    if np.any(first == UNREACHABLE):
-        return math.inf
-    if g.n <= DENSE_LIMIT:
-        return int(distance_matrix(g).max())
-    best = int(first.max())
-    for v in range(1, g.n):
-        best = max(best, int(bfs_distances(g, [v]).max()))
+    """Exact diameter; math.inf when the graph is disconnected.
+
+    The maximum over streamed all-sources blocks of BLOCK rows, so n x n is
+    never held; the first block already shows whether vertex 0 reaches all.
+    """
+    best = 0
+    for _, block in _distance_blocks(g, range(g.n)):
+        if block.min() == UNREACHABLE:
+            return math.inf
+        best = max(best, int(block.max()))
     return best
 
 
@@ -527,18 +560,15 @@ def audit_expansion(
     a = rng_pairs.integers(0, n, size=sample_size)
     b = rng_pairs.integers(0, n - 1, size=sample_size)
     b = b + (b >= a)
-    pairs = np.column_stack([a, b])
 
+    # The graph is connected, so every row is finite and bincount gives the
+    # sphere sizes; a pair's row is the minimum of its endpoints' rows.
     sizes: dict[int, list[np.ndarray]] = {1: [], 2: []}
-    reached_top = False
-    for v in singles:
-        counts = bfs_spheres(g, [int(v)]).sphere_sizes()
-        sizes[1].append(counts)
-        reached_top = reached_top or len(counts) > top
-    for u, v in pairs:
-        counts = bfs_spheres(g, [int(u), int(v)]).sphere_sizes()
-        sizes[2].append(counts)
-        reached_top = reached_top or len(counts) > top
+    for _, block in _distance_blocks(g, singles):
+        sizes[1].extend(np.bincount(row) for row in block)
+    for (_, block_a), (_, block_b) in zip(_distance_blocks(g, a), _distance_blocks(g, b)):
+        sizes[2].extend(np.bincount(row) for row in np.minimum(block_a, block_b))
+    reached_top = any(len(counts) > top for s in (1, 2) for counts in sizes[s])
 
     ln_term = math.log(n) / math.sqrt(n)
     cells = []

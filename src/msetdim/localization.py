@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, diameter, distances_from, is_connected
+from .graphs import Graph, bfs_distances, diameter, distances_from, is_connected
 from .signatures import _canonical_members, _count_matrix
 
 
@@ -30,24 +30,12 @@ class Observation:
 
 
 def spread(g: Graph, v0: int) -> np.ndarray:
-    """Infection time of every vertex for source v0 (a frontier simulation).
+    """Infection time of every vertex for source v0: its BFS distance.
 
     Connected graphs only: the process must reach every vertex.
     """
     g._check_vertex(v0)
-    times = np.full(g.n, -1, dtype=np.int32)
-    times[v0] = 0
-    frontier = [v0]
-    t = 0
-    while frontier:
-        t += 1
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                if times[w] < 0:
-                    times[w] = t
-                    nxt.append(int(w))
-        frontier = nxt
+    times = bfs_distances(g, [v0])
     if np.any(times < 0):
         raise ValueError("spread requires a connected graph")
     return times

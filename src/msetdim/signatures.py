@@ -20,8 +20,8 @@ import numpy as np
 from .graphs import (
     DENSE_LIMIT,
     Graph,
+    _distance_blocks,
     bfs_distances,
-    diameter,
     distance_matrix,
     distances_from,
     is_connected,
@@ -96,18 +96,12 @@ def _canonical_members(g: Graph, R: Sequence[int]) -> tuple[int, ...]:
 
 
 def _signature_length(g: Graph) -> int:
-    """Length of the finite part of multiset signatures: diam(G) + 1.
+    """Length of the finite part of multiset signatures: the largest finite
+    distance + 1, which is diam(G) + 1 on connected graphs.
 
-    For disconnected graphs the finite part spans the largest finite distance
-    and the unreachable coordinate is carried separately.
+    On disconnected graphs the unreachable coordinate is carried separately.
     """
-    d = diameter(g)
-    if math.isinf(d):
-        dm = distance_matrix(g) if g.n <= DENSE_LIMIT else None
-        if dm is not None:
-            return int(dm.max()) + 1
-        return int(max(int(bfs_distances(g, [v]).max()) for v in range(g.n))) + 1
-    return int(d) + 1
+    return max(int(block.max()) for _, block in _distance_blocks(g, range(g.n))) + 1
 
 
 def _count_matrix(rows: np.ndarray, length: int) -> np.ndarray:

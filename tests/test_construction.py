@@ -26,7 +26,7 @@ from msetdim import (
     verify_resolving,
 )
 
-from .conftest import random_connected_graph
+from .conftest import candidate_draw, multisets_collide, random_connected_graph
 
 
 class TestSampleCandidate:
@@ -95,6 +95,36 @@ class TestConstructResolving:
         targets = [rec["r"] for rec in log["rounds"]]
         assert targets == sorted(targets)  # growth never shrinks the target
 
+    def test_saturated_rounds_reuse_verdict(self, monkeypatch):
+        import msetdim.construction as construction
+
+        g = complete_graph(5)
+        spec = CandidateSpec(r=1, growth=2, max_rounds=8)
+        calls = []
+        verify = construction.verify_resolving
+
+        def spy(graph, members, *args, **kwargs):
+            calls.append(tuple(int(v) for v in members))
+            return verify(graph, members, *args, **kwargs)
+
+        monkeypatch.setattr(construction, "verify_resolving", spy)
+        result = construct_resolving(g, spec)
+        draws = [candidate_draw(5, min(2.0**t, 5.0), 0, t) for t in range(8)]
+        distinct = []
+        for draw in draws:
+            if draw.size and (not distinct or distinct[-1] != tuple(draw)):
+                distinct.append(tuple(draw))
+        assert all(draw.tolist() == list(range(5)) for draw in draws[3:])
+        assert calls == distinct
+        assert not result.success and result.rounds_used == 8
+        for t, (rec, draw) in enumerate(zip(result.rounds, draws)):
+            assert (rec.round, rec.target, rec.sample_size) == (t, min(2.0**t, 5.0), draw.size)
+            assert not rec.resolving
+            if draw.size:
+                assert multisets_collide(g, draw, *rec.witness)
+            else:
+                assert rec.witness is None
+
     def test_never_beats_exact_optimum(self, rng):
         for _ in range(10):
             g = random_connected_graph(rng, 4, 10)
@@ -129,6 +159,21 @@ class TestFailureRate:
             est = estimate_failure_rate(g, r=g.n, trials=7, seed=1)
             resolving = verify_resolving(g, list(range(g.n)), KIND_MULTISET).resolving
             assert est.rate == (0.0 if resolving else 1.0)
+
+    def test_repeated_draw_verified_once(self, monkeypatch):
+        import msetdim.construction as construction
+
+        calls = []
+        verify = construction.verify_resolving
+
+        def spy(*args, **kwargs):
+            calls.append(args[1].tolist())
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(construction, "verify_resolving", spy)
+        est = estimate_failure_rate(path_graph(12), r=12, trials=6, seed=0)
+        assert (est.trials, est.failures) == (6, 6)  # ends 0 and 11 collide
+        assert calls == [list(range(12))]
 
     def test_path_rates_below_one_and_monotone(self):
         g = path_graph(100)

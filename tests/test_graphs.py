@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ from msetdim import (
     cycle_graph,
     diameter,
     distance_matrix,
+    distances_from,
+    draw_census_set,
     generate_gnp,
     is_connected,
     path_graph,
@@ -29,10 +32,13 @@ from msetdim import (
     read_edge_list,
     regime,
     regime_from_degree,
+    typicality_census,
     write_edge_list,
 )
+from msetdim.graphs import BLOCK
+from msetdim.seeding import AUDIT_PAIRS, AUDIT_SINGLES, substream
 
-from .conftest import floyd_warshall, random_graph
+from .conftest import floyd_warshall, random_graph, scipy_distance_rows
 
 
 class TestGraphType:
@@ -141,6 +147,86 @@ class TestDiameter:
                 assert diameter(g) == math.inf
             else:
                 assert diameter(g) == int(finite.max())
+
+
+@st.composite
+def small_graphs(draw, connected=False):
+    """Graphs on 1..64 vertices from raw edge lists: isolated vertices and
+    several components are common unless a spanning path is added."""
+    n = draw(st.integers(1, 64))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    edges = [(u, v) for u, v in pairs if u != v]
+    if connected or draw(st.booleans()):
+        edges += [(i, i + 1) for i in range(n - 1)]
+    return Graph.from_edges(n, edges, strict=False)
+
+
+def oracle_matrix(g: Graph) -> np.ndarray:
+    """Floyd-Warshall distances, cross-checked against networkx."""
+    fw = floyd_warshall(g)
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    for u, lengths in nx.all_pairs_shortest_path_length(nxg):
+        row = np.full(g.n, math.inf)
+        row[list(lengths)] = list(lengths.values())
+        assert np.array_equal(fw[u], row)
+    return np.where(np.isinf(fw), UNREACHABLE, fw).astype(np.int32)
+
+
+class TestBfsKernel:
+    @given(small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_and_diameter_match_oracles(self, g):
+        expect = oracle_matrix(g)
+        dm = distance_matrix(g)
+        assert dm.dtype == np.int32
+        assert np.array_equal(dm, expect)
+        if (expect == UNREACHABLE).any():
+            assert diameter(g) == math.inf
+        else:
+            assert diameter(g) == int(expect.max())
+
+    @given(small_graphs(), st.sampled_from([0, 1, 63, 64, 65, 2 * BLOCK + 3]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_probe_lists_with_duplicates(self, g, length, data):
+        probes = data.draw(st.lists(st.integers(0, g.n - 1), min_size=length, max_size=length))
+        rows = distances_from(g, probes)
+        assert rows.shape == (length, g.n) and rows.dtype == np.int32
+        assert np.array_equal(rows, oracle_matrix(g)[probes])
+
+    def test_bad_probes_rejected(self):
+        g = cycle_graph(10)
+        for probes in ([10], [-1], [0] * (BLOCK + 1) + [10], [3, -2]):
+            with pytest.raises(ValueError):
+                distances_from(g, probes)
+
+    @pytest.mark.parametrize("n", [65, 2 * BLOCK, 2 * BLOCK + 7])
+    def test_multi_block_matrix(self, n):
+        g = generate_gnp(RandomGraphSpec(n=n, p=2.5 / n, seed=n))
+        ref = scipy_distance_rows(g, range(n))
+        expect = np.where(np.isinf(ref), UNREACHABLE, ref).astype(np.int32)
+        assert np.array_equal(distance_matrix(g), expect)
+        assert diameter(g) == (math.inf if np.isinf(ref).any() else int(ref.max()))
+
+    @given(small_graphs(connected=True), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_census_ball_counts(self, g, data):
+        dm = oracle_matrix(g)
+        k = data.draw(st.integers(0, int(dm.max())))
+        members = list(draw_census_set(g, data.draw(st.integers(1, g.n)), seed=0))
+        report = typicality_census(g, members, k)
+        factor = 2.0 * (k + 1) * len(members) / g.n
+        ball = np.stack([(dm <= i).sum(axis=1) for i in range(k + 1)])
+        ball_r = np.stack([(dm[:, members] <= i).sum(axis=1) for i in range(k + 1)])
+        atypical = ball_r >= np.maximum(factor * ball, 1.0)
+        assert report.typical_count == int((~atypical.any(axis=0)).sum())
+        for i, level in enumerate(report.levels):
+            assert level.atypical_count == int(atypical[i].sum())
+            assert level.sensor_ball_total == int(ball[i][members].sum())
+            assert level.pairs_by_atypical == int(ball_r[i][atypical[i]].sum())
+            assert level.pairs_by_sensor == level.pairs_by_atypical
 
 
 class TestPredictedDiameter:
@@ -290,6 +376,30 @@ class TestExpansionAudit:
         bad = regime(300, 0.9)
         with pytest.raises(ValueError):
             audit_expansion(g, bad, sample_size=5, seed=0)
+
+    def test_matches_per_source_spheres(self):
+        g = generate_gnp(RandomGraphSpec(n=500, x=0.5, seed=8))
+        params = regime_from_degree(g.n, g.average_degree)
+        size, seed = BLOCK + 9, 6
+        report = audit_expansion(g, params, sample_size=size, seed=seed)
+        singles = substream(seed, AUDIT_SINGLES).choice(g.n, size=size, replace=False)
+        rng = substream(seed, AUDIT_PAIRS)
+        a = rng.integers(0, g.n, size=size)
+        b = rng.integers(0, g.n - 1, size=size)
+        b = b + (b >= a)
+        spheres = {
+            1: [bfs_spheres(g, [int(v)]).sphere_sizes() for v in singles],
+            2: [bfs_spheres(g, [int(u), int(v)]).sphere_sizes() for u, v in zip(a, b)],
+        }
+        top = params.sparse_radius + 1
+        for cell in report.levels:
+            scale = cell.source_size * params.degree**cell.level if cell.level < top else g.n
+            expect = tuple(
+                (int(c[cell.level]) if cell.level < len(c) else 0) / scale
+                for c in spheres[cell.source_size]
+            )
+            assert cell.observed == expect
+        assert report.partial == all(len(c) <= top for s in (1, 2) for c in spheres[s])
 
     def test_moderate_graph_within_tolerance(self):
         g = generate_gnp(RandomGraphSpec(n=3000, x=0.5, seed=11))
