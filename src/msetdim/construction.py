@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .exponents import UPPER_BOUND_MAX_X, upper_bound_exponent
-from .graphs import Graph, _distance_blocks, distances_from, is_connected
+from .graphs import Graph, _level_counts, distances_from, is_connected
 from .seeding import CANDIDATE, CENSUS_SET, FAILURE_TRIAL, substream
 from .signatures import KIND_MULTISET, verify_resolving
 
@@ -118,29 +118,19 @@ class ConstructionResult:
         }
 
 
-def _member_rows(
-    g: Graph, members: np.ndarray, prev_members: np.ndarray, prev_rows: np.ndarray
-) -> np.ndarray:
-    """Distance rows of sorted `members`, copied for vertices in the previous draw."""
-    kept = np.isin(members, prev_members)
-    rows = np.empty((members.size, g.n), dtype=np.int32)
-    rows[kept] = prev_rows[np.searchsorted(prev_members, members[kept])]
-    rows[~kept] = distances_from(g, members[~kept])
-    return rows
-
-
 def construct_resolving(g: Graph, spec: CandidateSpec) -> ConstructionResult:
     """Sample, verify, grow until a multiset resolving set is found.
 
-    The returned set is re-verified from scratch before being reported; a
-    verdict from the loop is never trusted directly.  Failure after
-    max_rounds carries the last collision witness.  Only the last two draws'
-    distance rows are held, never n x n, and a round that redraws the last
-    verified set (every round once r reaches n) reuses its verdict.
+    Rounds count each vertex's sensors per BFS level and hold O(n * diam)
+    counts, never a distance row; a round that redraws the last verified set
+    (every round once r reaches n) reuses its verdict.  A set the loop
+    accepts is re-verified from its distance rows, a separate path, before
+    being reported.  Failure after max_rounds carries the last collision
+    witness.
     """
     if not is_connected(g):
         raise ValueError("construction requires a connected graph")
-    prev_members, prev_rows = np.empty(0, dtype=np.int64), np.empty((0, g.n), dtype=np.int32)
+    prev_members = np.empty(0, dtype=np.int64)
     records: list[RoundRecord] = []
     target = float(spec.r)
     for t in range(spec.max_rounds):
@@ -153,9 +143,8 @@ def construct_resolving(g: Graph, spec: CandidateSpec) -> ConstructionResult:
             target *= spec.growth
             continue
         if not np.array_equal(members, prev_members):
-            prev_rows = _member_rows(g, members, prev_members, prev_rows)
             prev_members = members
-            verdict = verify_resolving(g, members, KIND_MULTISET, rows=prev_rows)
+            verdict = verify_resolving(g, members, KIND_MULTISET)
         records.append(
             RoundRecord(
                 round=t,
@@ -166,7 +155,7 @@ def construct_resolving(g: Graph, spec: CandidateSpec) -> ConstructionResult:
             )
         )
         if verdict.resolving:
-            confirm = verify_resolving(g, members, KIND_MULTISET)
+            confirm = verify_resolving(g, members, KIND_MULTISET, rows=distances_from(g, members))
             if not confirm.resolving:
                 raise RuntimeError(
                     "re-verification rejected a set the round verifier accepted"
@@ -203,7 +192,7 @@ def estimate_failure_rate(g: Graph, r: float, trials: int, seed: int) -> Failure
         raise ValueError("need at least one trial")
     if r < 0:
         raise ValueError("target size must be non-negative")
-    prev_members, prev_rows = np.empty(0, dtype=np.int64), np.empty((0, g.n), dtype=np.int32)
+    prev_members = np.empty(0, dtype=np.int64)
     prob = min(r / g.n, 1.0)
     failures = 0
     for t in range(trials):
@@ -213,9 +202,8 @@ def estimate_failure_rate(g: Graph, r: float, trials: int, seed: int) -> Failure
             failures += 1
             continue
         if not np.array_equal(members, prev_members):
-            prev_rows = _member_rows(g, members, prev_members, prev_rows)
             prev_members = members
-            verdict = verify_resolving(g, members, KIND_MULTISET, rows=prev_rows)
+            verdict = verify_resolving(g, members, KIND_MULTISET)
         if not verdict.resolving:
             failures += 1
     return FailureRateResult(trials=trials, failures=failures)
@@ -281,20 +269,17 @@ def typicality_census(g: Graph, R: Sequence[int], k: int) -> TypicalityReport:
     n = g.n
     r_size = len(members)
 
-    # ball_r[i, v] counts the sensors within distance i of v, read off the
-    # sensor rows by symmetry; ball sizes accumulate over streamed blocks.
-    sensor_rows = distances_from(g, members)
-    ball = np.empty((k + 1, n), dtype=np.int64)
-    ball_r = np.empty((k + 1, n), dtype=np.int64)
-    for i in range(k + 1):
-        ball_r[i] = (sensor_rows <= i).sum(axis=0)
-    diam = 0
-    for start, block in _distance_blocks(g, range(n)):
-        diam = max(diam, int(block.max()))
-        for i in range(k + 1):
-            ball[i, start : start + len(block)] = (block <= i).sum(axis=1)
+    # Prefix sums of the level counts from V (from R) are the ball sizes (the
+    # sensors within distance i), which stay at |R| past R's deepest level;
+    # sensor rows serve only pairs_by_sensor, the incidence count's other side.
+    counts = _level_counts(g, range(n))
+    diam = counts.shape[1] - 2
     if k > diam:
         raise ValueError(f"k={k} exceeds diameter {diam}")
+    ball = np.cumsum(counts[:, : k + 1], axis=1).T
+    sensor_cum = np.cumsum(_level_counts(g, members), axis=1)
+    ball_r = sensor_cum[:, np.minimum(np.arange(k + 1), sensor_cum.shape[1] - 1)].T
+    sensor_rows = distances_from(g, members)
 
     factor = 2.0 * (k + 1) * r_size / n
     atypical = np.zeros((k + 1, n), dtype=bool)

@@ -221,53 +221,97 @@ def bfs_spheres(g: Graph, sources: Sequence[int]) -> SphereTable:
     return SphereTable(sources=tuple(int(s) for s in src), dist=dist)
 
 
-def _bfs_block(g: Graph, src: np.ndarray) -> np.ndarray:
-    """(len(src), n) int32 BFS distances from each of at most BLOCK sources.
+def _bfs_levels(g: Graph, src: np.ndarray) -> Iterator[np.ndarray]:
+    """uint64 frontier words of each BFS level from at most BLOCK sources.
 
-    Level-synchronous and bit-parallel: bit j of a vertex's word is set once
-    the search from src[j] has reached it, so one level of all the searches
-    is one OR over every vertex's neighbor words.
+    Level 0 first; bit j of a vertex's word at level d is set when the vertex
+    is at distance d from src[j].  One level of all the searches is one OR
+    over every vertex's neighbor words.  Callers must not modify the words.
     """
-    n, k = g.n, src.size
+    n = g.n
     indptr, indices = g._indptr, g._indices
-    dist = np.full((n, k), UNREACHABLE, dtype=np.int32)
-    cols = np.arange(k)
-    dist[src, cols] = 0
     frontier = np.zeros(n, dtype=np.uint64)
-    np.bitwise_or.at(frontier, src, np.left_shift(np.uint64(1), cols.astype(np.uint64)))
+    np.bitwise_or.at(frontier, src, np.uint64(1) << np.arange(src.size, dtype=np.uint64))
     visited = frontier.copy()
     # reduceat reads an empty segment as its first element, so vertices of
     # degree 0 are left out and keep an empty word
     linked = np.flatnonzero(np.diff(indptr))
     starts = indptr[linked]
-    for level in range(1, n):
+    while frontier.any():
+        yield frontier
         reached = np.zeros(n, dtype=np.uint64)
         reached[linked] = np.bitwise_or.reduceat(frontier[indices], starts)
         frontier = reached & ~visited
-        touched = np.flatnonzero(frontier)
-        if touched.size == 0:
-            break
         visited |= frontier
-        words = frontier[touched].astype("<u8").view(np.uint8).reshape(-1, 8)
-        new = np.unpackbits(words, axis=1, count=k, bitorder="little").view(bool)
-        dist[touched] = np.where(new, level, dist[touched])
-    return np.ascontiguousarray(dist.T)
 
 
-def _distance_blocks(g: Graph, probes: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, distances_from(g, probes[start : start + BLOCK])) per block."""
+def _unpack(words: np.ndarray, k: int) -> np.ndarray:
+    """(k, len(words)) uint8 array whose row j holds bit j of every word."""
+    octets = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets.T, axis=0, count=k, bitorder="little")
+
+
+def _bfs_block(g: Graph, src: np.ndarray) -> np.ndarray:
+    """(len(src), n) int32 BFS distances from each of at most BLOCK sources.
+
+    Plane b collects bit b of every distance: the OR of the frontiers of the
+    levels whose number has bit b set.  Each plane is unpacked once, straight
+    into (source, vertex) order; unreached bits are -1 (UNREACHABLE).
+    """
+    k = src.size
+    reached = np.zeros(g.n, dtype=np.uint64)
+    planes: list[np.ndarray] = []
+    for level, frontier in enumerate(_bfs_levels(g, src)):
+        reached |= frontier
+        if level >> len(planes):
+            planes.append(np.zeros(g.n, dtype=np.uint64))
+        for b, plane in enumerate(planes):
+            if level >> b & 1:
+                plane |= frontier
+    dist = -_unpack(~reached, k).astype(np.int32)
+    for b, plane in enumerate(planes):
+        dist |= np.left_shift(_unpack(plane, k), b, dtype=np.int32)
+    return dist
+
+
+def _source_blocks(g: Graph, probes: Sequence[int]) -> Iterator[np.ndarray]:
+    """Consecutive slices of at most BLOCK probes, all range-checked first."""
     src = np.asarray(probes, dtype=np.int64).reshape(-1)
     if src.size and (src.min() < 0 or src.max() >= g.n):
         raise ValueError("source vertex out of range")
     for start in range(0, src.size, BLOCK):
-        yield start, _bfs_block(g, src[start : start + BLOCK])
+        yield src[start : start + BLOCK]
+
+
+def _level_counts(g: Graph, sources: Sequence[int]) -> np.ndarray:
+    """(n, L+2) int64 histograms, L the largest finite distance from a source:
+    column d counts the sources at distance d, the last those in other
+    components.  Equals _count_matrix(distances_from(g, sources), L+1), but
+    sums the popcounts of the level-d frontier words into column d, so no
+    distance row is written and memory is O(n * L) plus one block."""
+    columns: list[np.ndarray] = []
+    for src in _source_blocks(g, sources):
+        for level, frontier in enumerate(_bfs_levels(g, src)):
+            if level == len(columns):
+                columns.append(np.zeros(g.n, dtype=np.int64))
+            columns[level] += np.bitwise_count(frontier)
+    return np.column_stack(columns + [len(sources) - sum(columns)])
+
+
+def _block_depths(g: Graph) -> Iterator[tuple[int, bool]]:
+    """(deepest level, whether each source reaches all) per all-sources block."""
+    for src in _source_blocks(g, range(g.n)):
+        reached = np.zeros(g.n, dtype=np.uint64)
+        for depth, frontier in enumerate(_bfs_levels(g, src)):
+            reached |= frontier
+        yield depth, bool(np.all(reached == np.uint64((1 << src.size) - 1)))
 
 
 def distances_from(g: Graph, probes: Sequence[int]) -> np.ndarray:
     """(len(probes), n) matrix of single-source BFS distances."""
     rows = np.empty((len(probes), g.n), dtype=np.int32)
-    for start, block in _distance_blocks(g, probes):
-        rows[start : start + len(block)] = block
+    for i, src in enumerate(_source_blocks(g, probes)):
+        rows[i * BLOCK : i * BLOCK + src.size] = _bfs_block(g, src)
     return rows
 
 
@@ -288,14 +332,14 @@ def is_connected(g: Graph) -> bool:
 def diameter(g: Graph) -> int | float:
     """Exact diameter; math.inf when the graph is disconnected.
 
-    The maximum over streamed all-sources blocks of BLOCK rows, so n x n is
-    never held; the first block already shows whether vertex 0 reaches all.
+    Counts the BFS levels of each all-sources block and writes no distance
+    row; the first block already shows whether the graph is connected.
     """
     best = 0
-    for _, block in _distance_blocks(g, range(g.n)):
-        if block.min() == UNREACHABLE:
+    for depth, full in _block_depths(g):
+        if not full:
             return math.inf
-        best = max(best, int(block.max()))
+        best = max(best, depth)
     return best
 
 
@@ -564,10 +608,11 @@ def audit_expansion(
     # The graph is connected, so every row is finite and bincount gives the
     # sphere sizes; a pair's row is the minimum of its endpoints' rows.
     sizes: dict[int, list[np.ndarray]] = {1: [], 2: []}
-    for _, block in _distance_blocks(g, singles):
-        sizes[1].extend(np.bincount(row) for row in block)
-    for (_, block_a), (_, block_b) in zip(_distance_blocks(g, a), _distance_blocks(g, b)):
-        sizes[2].extend(np.bincount(row) for row in np.minimum(block_a, block_b))
+    for src in _source_blocks(g, singles):
+        sizes[1].extend(np.bincount(row) for row in _bfs_block(g, src))
+    for src_a, src_b in zip(_source_blocks(g, a), _source_blocks(g, b)):
+        pair_rows = np.minimum(_bfs_block(g, src_a), _bfs_block(g, src_b))
+        sizes[2].extend(np.bincount(row) for row in pair_rows)
     reached_top = any(len(counts) > top for s in (1, 2) for counts in sizes[s])
 
     ln_term = math.log(n) / math.sqrt(n)

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, bfs_distances, diameter, distances_from, is_connected
-from .signatures import _canonical_members, _count_matrix
+from .graphs import Graph, _level_counts, bfs_distances, diameter, is_connected
+from .signatures import _canonical_members
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ def observe(g: Graph, R: Sequence[int], v0: int, horizon: int | None = None) -> 
 class LocalizationIndex:
     """Signature lookup for repeated identify queries against one (g, R).
 
-    Builds every vertex's activation profile from one BFS per sensor, then
-    answers candidate queries in O(1) dictionary time.
+    Builds every vertex's activation profile by counting the sensors at each
+    BFS level, then answers candidate queries in O(1) dictionary time.
     """
 
     def __init__(self, g: Graph, R: Sequence[int]):
@@ -72,9 +72,9 @@ class LocalizationIndex:
         self.graph = g
         self.members = _canonical_members(g, R)
         self.horizon = int(diameter(g))
-        rows = distances_from(g, self.members)
         # connected, so the unreachable column is all zeros and dropped
-        matrix = _count_matrix(rows, self.horizon + 1)[:, : self.horizon + 1]
+        counts = _level_counts(g, self.members)[:, :-1]
+        matrix = np.pad(counts, ((0, 0), (0, self.horizon + 1 - counts.shape[1])))
         self._profiles = matrix
         buckets: dict[bytes, list[int]] = {}
         for v in range(g.n):

@@ -20,7 +20,8 @@ import numpy as np
 from .graphs import (
     DENSE_LIMIT,
     Graph,
-    _distance_blocks,
+    _block_depths,
+    _level_counts,
     bfs_distances,
     distance_matrix,
     distances_from,
@@ -101,16 +102,17 @@ def _signature_length(g: Graph) -> int:
 
     On disconnected graphs the unreachable coordinate is carried separately.
     """
-    return max(int(block.max()) for _, block in _distance_blocks(g, range(g.n))) + 1
+    return max(depth for depth, _ in _block_depths(g)) + 1
 
 
 def _count_matrix(rows: np.ndarray, length: int) -> np.ndarray:
-    """(n, length+1) per-vertex distance histograms; last column = unreachable."""
+    """(n, length+1) per-vertex distance histograms; last column = unreachable.
+    The flat bincount index is built in place in one int64 copy of `rows`."""
     _, n = rows.shape
-    vals = np.where(rows < 0, length, rows).astype(np.int64)
-    flat = np.arange(n, dtype=np.int64) * (length + 1)
-    flat = (vals + flat[None, :]).ravel()
-    counts = np.bincount(flat, minlength=n * (length + 1))
+    flat = rows.astype(np.int64)
+    flat[rows < 0] = length
+    flat += np.arange(n, dtype=np.int64) * (length + 1)
+    counts = np.bincount(flat.ravel(), minlength=n * (length + 1))
     return counts.reshape(n, length + 1)
 
 
@@ -229,21 +231,24 @@ def verify_resolving(
     direct comparison before being reported.  The witness is the first
     collision in ascending vertex order.
 
-    `rows`, when supplied, must be distances_from(g, R) aligned with R's
-    order; passing a precomputed slice of a distance matrix avoids repeating
-    the |R| BFS runs.
+    Without `rows`, the multiset kinds count sensors per BFS level from the
+    kernel's frontier words and write no distance row.  `rows`, when given,
+    must be distances_from(g, R) aligned with R's order; histograms are then
+    counted from it, a separate path to the same verdict.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     members = _canonical_members(g, R)
-    if rows is None:
-        rows = distances_from(g, members)
     if kind == KIND_METRIC:
+        if rows is None:
+            rows = distances_from(g, members)
         keys: list = [rows[:, v].tobytes() for v in range(g.n)]
         skip: set[int] = set()
     else:
-        length = max(int(rows.max(initial=0)), 0) + 1
-        counts = _count_matrix(rows, length)
+        if rows is None:
+            counts = _level_counts(g, members)
+        else:
+            counts = _count_matrix(rows, max(int(rows.max(initial=0)), 0) + 1)
         keys = [counts[v].tobytes() for v in range(g.n)]
         skip = set(members) if kind == KIND_OUTER else set()
     hit = _first_collision(keys, skip)

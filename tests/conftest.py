@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
 
@@ -82,6 +83,19 @@ def exact_binom_pmf_max(trials: int, p: Fraction) -> Fraction:
         math.comb(trials, z) * a**z * (d - a) ** (trials - z) for z in range(trials + 1)
     )
     return Fraction(best, d**trials)
+
+
+@st.composite
+def small_graphs(draw, connected=False):
+    """Graphs on 1..64 vertices from raw edge lists: isolated vertices and
+    several components are common unless a spanning path is added."""
+    n = draw(st.integers(1, 64))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    edges = [(u, v) for u, v in pairs if u != v]
+    if connected or draw(st.booleans()):
+        edges += [(i, i + 1) for i in range(n - 1)]
+    return Graph.from_edges(n, edges, strict=False)
 
 
 def random_graph(rng: np.random.Generator, n_min: int = 2, n_max: int = 10) -> Graph:

@@ -125,6 +125,36 @@ class TestConstructResolving:
             else:
                 assert rec.witness is None
 
+    def test_reverification_uses_rows(self, monkeypatch):
+        import msetdim.signatures as signatures
+
+        def distinct(g, sources):
+            return np.arange(g.n, dtype=np.int64)[:, None]
+
+        monkeypatch.setattr(signatures, "_level_counts", distinct)
+        with pytest.raises(RuntimeError, match="re-verification rejected"):
+            construct_resolving(complete_graph(5), CandidateSpec(r=2, seed=0))
+
+    def test_only_confirmation_writes_rows(self, monkeypatch):
+        import msetdim.graphs as graphs
+
+        calls = []
+        block = graphs._bfs_block
+
+        def spy(g, src):
+            calls.append(src.tolist())
+            return block(g, src)
+
+        monkeypatch.setattr(graphs, "_bfs_block", spy)
+        g = generate_gnp(RandomGraphSpec(n=200, x=0.4, seed=0))
+        failed = construct_resolving(g, CandidateSpec(r=math.sqrt(g.n), seed=0))
+        assert not failed.success and failed.rounds_used == 12
+        assert calls == []
+        found = construct_resolving(path_graph(200), CandidateSpec(r=100, seed=0))
+        members = list(found.resolving_set)
+        assert found.success and len(members) > graphs.BLOCK
+        assert calls == [members[i : i + graphs.BLOCK] for i in range(0, len(members), graphs.BLOCK)]
+
     def test_never_beats_exact_optimum(self, rng):
         for _ in range(10):
             g = random_connected_graph(rng, 4, 10)

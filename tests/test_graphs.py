@@ -35,10 +35,11 @@ from msetdim import (
     typicality_census,
     write_edge_list,
 )
-from msetdim.graphs import BLOCK
+from msetdim.graphs import BLOCK, _bfs_block, _level_counts
+from msetdim.signatures import _count_matrix, _signature_length
 from msetdim.seeding import AUDIT_PAIRS, AUDIT_SINGLES, substream
 
-from .conftest import floyd_warshall, random_graph, scipy_distance_rows
+from .conftest import floyd_warshall, random_graph, scipy_distance_rows, small_graphs
 
 
 class TestGraphType:
@@ -149,26 +150,17 @@ class TestDiameter:
                 assert diameter(g) == int(finite.max())
 
 
-@st.composite
-def small_graphs(draw, connected=False):
-    """Graphs on 1..64 vertices from raw edge lists: isolated vertices and
-    several components are common unless a spanning path is added."""
-    n = draw(st.integers(1, 64))
-    vertex = st.integers(0, n - 1)
-    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
-    edges = [(u, v) for u, v in pairs if u != v]
-    if connected or draw(st.booleans()):
-        edges += [(i, i + 1) for i in range(n - 1)]
-    return Graph.from_edges(n, edges, strict=False)
+def nx_graph(g: Graph) -> nx.Graph:
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    return nxg
 
 
 def oracle_matrix(g: Graph) -> np.ndarray:
     """Floyd-Warshall distances, cross-checked against networkx."""
     fw = floyd_warshall(g)
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(g.edges())
-    for u, lengths in nx.all_pairs_shortest_path_length(nxg):
+    for u, lengths in nx.all_pairs_shortest_path_length(nx_graph(g)):
         row = np.full(g.n, math.inf)
         row[list(lengths)] = list(lengths.values())
         assert np.array_equal(fw[u], row)
@@ -209,6 +201,40 @@ class TestBfsKernel:
         expect = np.where(np.isinf(ref), UNREACHABLE, ref).astype(np.int32)
         assert np.array_equal(distance_matrix(g), expect)
         assert diameter(g) == (math.inf if np.isinf(ref).any() else int(ref.max()))
+
+    @given(small_graphs(), st.sampled_from([1, 63, 64, 65, 2 * BLOCK + 3]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_level_counts_match_histograms(self, g, length, data):
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=length, max_size=length))
+        rows = oracle_matrix(g)[sources]
+        top = int(rows.max())
+        expect = np.stack(
+            [(rows == d).sum(axis=0) for d in range(top + 1)]
+            + [(rows == UNREACHABLE).sum(axis=0)],
+            axis=1,
+        )
+        counts = _level_counts(g, sources)
+        assert counts.dtype == np.int64 and counts.shape == (g.n, top + 2)
+        assert np.array_equal(counts, expect)
+        assert np.array_equal(counts, _count_matrix(distances_from(g, sources), top + 1))
+
+    @given(small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_depths_match_networkx(self, g):
+        nxg = nx_graph(g)
+        expect = nx.diameter(nxg) if nx.is_connected(nxg) else math.inf
+        longest = max(max(lengths.values()) for _, lengths in nx.all_pairs_shortest_path_length(nxg))
+        assert diameter(g) == expect
+        assert _signature_length(g) == longest + 1
+
+    def test_block_on_long_path(self):
+        # distances up to 399 need nine bit planes; a uint8 or 8-plane
+        # accumulator would wrap past 255
+        g = path_graph(400)
+        src = np.array([0, 399, 7, 255, 256, 200], dtype=np.int64)
+        ref = scipy_distance_rows(g, src).astype(np.int32)
+        block = _bfs_block(g, src)
+        assert block.dtype == np.int32 and np.array_equal(block, ref)
 
     @given(small_graphs(connected=True), st.data())
     @settings(max_examples=40, deadline=None)

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msetdim import (
     Graph,
@@ -31,7 +33,7 @@ from msetdim import (
     verify_resolving,
 )
 
-from .conftest import random_graph, random_member_set
+from .conftest import random_graph, random_member_set, small_graphs
 
 
 class TestMultisetSignature:
@@ -152,6 +154,17 @@ class TestVerifyResolving:
                 only_w = sum(1 for r in members if dw[r] == i and dv[r] != i)
                 assert only_v == only_w
         assert found > 20
+
+    @given(small_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_level_counts_and_rows_agree(self, g, data):
+        members = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+        rows = distances_from(g, members)
+        for kind in (KIND_MULTISET, KIND_OUTER):
+            counted = verify_resolving(g, members, kind)
+            assert counted == verify_resolving(g, members, kind, rows=rows)
+            naive = naive_verify_resolving(g, members, kind)
+            assert (counted.resolving, counted.witness) == (naive.resolving, naive.witness)
 
     def test_outer_ignores_member_pairs(self):
         # K_3 plus a pendant: {0,1} collide but both sit inside R.
