@@ -5,6 +5,19 @@ within each size, so results and counters are deterministic and the first
 success is the true minimum.  Multiset resolving is not monotone under
 supersets, so nothing is pruned; reporting "no multiset resolving set" means
 every non-empty subset was tried.
+
+Each subset S gives vertex v an exact integer key, the sum of W[r, v] over
+members r.  Multiset kinds put distance bucket c (unreachable is its own
+bucket) in digit c of base n + 1, so the key is the count histogram; the
+metric kind puts member r's distance code in digit r.  Digits are packed
+into as many int64 words as needed, at most 62 bits each.  S resolves when
+its n keys are pairwise distinct (outer-multiset: members get distinct
+negative keys).  Size-s subsets in order are the size-(s-1) ones in order,
+each extended by every larger vertex, so a whole level is computed at once
+as parent keys plus W[last], in blocks of _PARENT_ROWS parents.  Only rows
+with children are kept for the next level: at most C(n, n // 2) rows of n
+keys per word are held (124 MB per word at n = 22) plus one block's
+temporaries.
 """
 
 from __future__ import annotations
@@ -12,13 +25,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+
+import numpy as np
 
 from .graphs import Graph, distances_from
-from .signatures import KIND_METRIC, KIND_MULTISET, KIND_OUTER
+from .signatures import KIND_METRIC, KIND_MULTISET, KIND_OUTER, verify_resolving
 
 DEFAULT_BUDGET = 16
 HARD_CAP = 22
+_PARENT_ROWS = 2048
 
 
 class BudgetExceededError(ValueError):
@@ -80,68 +95,84 @@ def _check_budget(g: Graph, budget: int) -> None:
         )
 
 
-def _is_resolving(
-    rows: list[list[int]], n: int, members: tuple[int, ...], kind: str, buckets: int
-) -> bool:
-    """Single subset check, O(n * (|R| + buckets)); exits on first collision.
+def _weights(g: Graph, kind: str) -> np.ndarray:
+    """(words, n, n) int64: word w of vertex v's key is the sum of
+    weights[w, r, v] over the members r."""
+    n = g.n
+    dist = distances_from(g, range(n)).astype(np.int64)
+    top = int(dist.max())
+    bucket = np.where(dist < 0, top + 1, dist)
+    r, v = np.indices((n, n))
+    base, digit, value = (top + 2, r, bucket) if kind == KIND_METRIC else (n + 1, bucket, 1)
+    per_word = 62 // (base - 1).bit_length()
+    weights = np.zeros((-(-(int(digit.max()) + 1) // per_word), n, n), dtype=np.int64)
+    weights[digit // per_word, r, v] = value * base ** (digit % per_word)
+    return weights
 
-    Unreachable distances are -1 and land in the histogram's last bucket via
-    negative indexing.
-    """
-    seen = set()
-    if kind == KIND_METRIC:
-        for v in range(n):
-            row = rows[v]
-            sig = tuple(row[r] for r in members)
-            if sig in seen:
-                return False
-            seen.add(sig)
-        return True
-    outer = kind == KIND_OUTER
-    member_set = set(members)
-    for v in range(n):
-        if outer and v in member_set:
-            continue
-        row = rows[v]
-        hist = [0] * buckets
-        for r in members:
-            hist[row[r]] += 1
-        sig = tuple(hist)
-        if sig in seen:
-            return False
-        seen.add(sig)
-    return True
+
+def _resolves(keys: np.ndarray) -> np.ndarray:
+    """Per row of (words, m, n) keys: True when its n key tuples are distinct."""
+    ordered = np.sort(keys[0], axis=1)
+    collide = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if len(keys) > 1:  # a tie in word 0 collides only if the other words tie too
+        rows = np.flatnonzero(collide)
+        same = (keys[:, rows, :, None] == keys[:, rows, None, :]).all(axis=0)
+        collide[rows] = np.triu(same, 1).any(axis=(1, 2))
+    return ~collide
+
+
+def _level_blocks(g: Graph, kind: str, max_size: int):
+    """Yield (size, masks, resolves) for the subsets of size 1..max_size in
+    search order, one block of _PARENT_ROWS parents at a time: the subsets
+    as vertex bitmasks and whether each one resolves."""
+    n = g.n
+    weights = _weights(g, kind)
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    keys = np.zeros((len(weights), 1, n), dtype=np.int64)
+    masks = np.zeros(1, dtype=np.int64)  # the empty set is the one parent of level 1
+    for size in range(1, max_size + 1):
+        # rows ending at vertex n - 1 have no children: C(n-1, size) are kept
+        kept = math.comb(n - 1, size) if size < max_size else 0
+        next_keys = np.empty((len(weights), kept, n), dtype=np.int64)
+        next_masks = np.empty(kept, dtype=np.int64)
+        filled = 0
+        for lo in range(0, masks.size, _PARENT_ROWS):
+            last = np.frexp(masks[lo : lo + _PARENT_ROWS])[1] - 1  # highest member
+            parent, child = np.nonzero(np.arange(n) > last[:, None])
+            child_keys = keys[:, lo + parent] + weights[:, child]
+            child_masks = masks[lo + parent] | bits[child]
+            keep = (child < n - 1) & (kept > 0)
+            stop = filled + int(keep.sum())
+            next_keys[:, filled:stop] = child_keys[:, keep]
+            next_masks[filled:stop] = child_masks[keep]
+            filled = stop
+            if kind == KIND_OUTER:  # after the copy above, which must not see these
+                np.copyto(child_keys[0], -1 - np.arange(n), where=(child_masks[:, None] & bits) > 0)
+            yield size, child_masks, _resolves(child_keys)
+        keys, masks = next_keys, next_masks
+
+
+def _members(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(v for v in range(n) if int(mask) >> v & 1)
 
 
 def _search(
     g: Graph, kind: str, budget: int, size_limit: int | None = None
 ) -> SearchOutcome:
     _check_budget(g, budget)
-    rows = distances_from(g, range(g.n)).tolist()
     n = g.n
-    top = max(max(r) for r in rows)
-    buckets = top + 2  # one histogram slot per distance plus the unreachable slot
     examined = 0
     max_size = n if size_limit is None else min(size_limit, n)
-    for size in range(1, max_size + 1):
-        for members in combinations(range(n), size):
-            examined += 1
-            if _is_resolving(rows, n, members, kind, buckets):
-                return SearchOutcome(
-                    value=size, witness=members, subsets_examined=examined
-                )
+    for size, masks, resolves in _level_blocks(g, kind, max_size):
+        first = int(resolves.argmax())
+        if resolves[first]:
+            return SearchOutcome(size, _members(masks[first], n), examined + first + 1)
+        examined += resolves.size
     if size_limit is not None and size_limit < n:
-        return SearchOutcome(
-            value=None,
-            witness=None,
-            subsets_examined=examined,
-            proven_at_least=size_limit + 1,
-        )
-    if kind == KIND_MULTISET:
-        return SearchOutcome(value=math.inf, witness=None, subsets_examined=examined)
-    # Metric and outer-multiset kinds always succeed by size n-1 at the latest,
-    # so reaching this point means the graph has a single vertex.
-    return SearchOutcome(value=n, witness=tuple(range(n)), subsets_examined=examined)
+        return SearchOutcome(None, None, examined, proven_at_least=size_limit + 1)
+    # Only the multiset kind gets here: the others resolve by size n - 1
+    # (size 1 when n = 1).
+    return SearchOutcome(value=math.inf, witness=None, subsets_examined=examined)
 
 
 def metric_dimension_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
@@ -169,8 +200,9 @@ def outer_multiset_dimension_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> Se
 def dimension_report(g: Graph, budget: int = DEFAULT_BUDGET) -> DimensionResult:
     """All three dimensions at once, with the chain inequality asserted.
 
-    multiset >= outer-multiset >= metric must hold on every instance; a
-    violation indicates a solver bug and raises immediately.
+    multiset >= outer-multiset >= metric must hold on every instance, and
+    each witness must pass verify_resolving (BFS histograms, not the
+    search's keys); a violation is a solver bug and raises immediately.
     """
     metric = metric_dimension_exact(g, budget)
     outer = outer_multiset_dimension_exact(g, budget)
@@ -181,6 +213,9 @@ def dimension_report(g: Graph, budget: int = DEFAULT_BUDGET) -> DimensionResult:
             f"dimension chain violated: multiset={m_val}, "
             f"outer={outer.value}, metric={metric.value}"
         )
+    for kind, outcome in ((KIND_METRIC, metric), (KIND_OUTER, outer), (KIND_MULTISET, multi)):
+        if outcome.witness is not None and not verify_resolving(g, outcome.witness, kind).resolving:
+            raise AssertionError(f"{kind} witness {outcome.witness} fails verify_resolving")
     return DimensionResult(
         metric_dim=int(metric.value),
         outer_multiset_dim=int(outer.value),
@@ -204,19 +239,16 @@ def find_monotonicity_violation(
     or None if the graph has no resolving set at all (or no violation).
     """
     _check_budget(g, budget)
-    rows = distances_from(g, range(g.n)).tolist()
     n = g.n
-    top = max(max(r) for r in rows)
-    buckets = top + 2
-    for size in range(1, n):
-        for members in combinations(range(n), size):
-            if not _is_resolving(rows, n, members, KIND_MULTISET, buckets):
-                continue
-            member_set = set(members)
-            for u in range(n):
-                if u in member_set:
-                    continue
-                grown = tuple(sorted(members + (u,)))
-                if not _is_resolving(rows, n, grown, KIND_MULTISET, buckets):
-                    return members, u
+    resolves = np.zeros(1 << n, dtype=bool)  # verdict per vertex bitmask
+    found = []  # resolving subsets in search order
+    for _, masks, ok in _level_blocks(g, KIND_MULTISET, n):
+        resolves[masks] = ok
+        found.append(masks[ok, None])
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    for rows in found:  # adding a member keeps the set, which resolves
+        broken = ~resolves[rows | bits]
+        hit = np.flatnonzero(broken.any(axis=1))
+        if hit.size:
+            return _members(rows[hit[0], 0], n), int(broken[hit[0]].argmax())
     return None

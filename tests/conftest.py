@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -60,6 +61,50 @@ def is_multiset_resolving(g: Graph, members) -> bool:
     return np.unique(multisets, axis=0).shape[0] == g.n
 
 
+def _oracle_resolves(dist: np.ndarray, members: tuple, kind: str) -> bool:
+    """Compare the vertices' signature tuples directly (dist from scipy)."""
+    cols = dist[list(members)]  # distances are symmetric: column v is v's row
+    if kind == "metric":
+        sigs = [tuple(cols[:, v]) for v in range(dist.shape[0])]
+    else:
+        skip = set(members) if kind == "outer-multiset" else set()
+        sigs = [tuple(sorted(cols[:, v])) for v in range(dist.shape[0]) if v not in skip]
+    return len(set(sigs)) == len(sigs)
+
+
+def exhaustive_search_oracle(g: Graph, kind: str, size_limit: int | None = None) -> tuple:
+    """(value, witness, subsets_examined, proven_at_least) of the minimum search.
+
+    Brute force over itertools.combinations, size-ascending and lexicographic
+    within a size, on scipy distances; shares no code with msetdim.exact.
+    """
+    dist = scipy_distance_rows(g, range(g.n))
+    top = g.n if size_limit is None else min(size_limit, g.n)
+    examined = 0
+    for size in range(1, top + 1):
+        for members in combinations(range(g.n), size):
+            examined += 1
+            if _oracle_resolves(dist, members, kind):
+                return size, members, examined, None
+    if top < g.n:
+        return None, None, examined, size_limit + 1
+    return math.inf, None, examined, None
+
+
+def monotonicity_violation_oracle(g: Graph):
+    """First (R, u) in search order with R multiset resolving and R + {u} not."""
+    dist = scipy_distance_rows(g, range(g.n))
+    for size in range(1, g.n):
+        for members in combinations(range(g.n), size):
+            if not _oracle_resolves(dist, members, "multiset"):
+                continue
+            for u in range(g.n):
+                grown = tuple(sorted(members + (u,)))
+                if u not in members and not _oracle_resolves(dist, grown, "multiset"):
+                    return members, u
+    return None
+
+
 # Purpose tag of the constructor's per-round draws (`seeding.CANDIDATE`),
 # restated here so the re-derivation below does not run msetdim's seeding code.
 CANDIDATE_TAG = 3
@@ -86,10 +131,10 @@ def exact_binom_pmf_max(trials: int, p: Fraction) -> Fraction:
 
 
 @st.composite
-def small_graphs(draw, connected=False):
-    """Graphs on 1..64 vertices from raw edge lists: isolated vertices and
+def small_graphs(draw, connected=False, max_n=64):
+    """Graphs on 1..max_n vertices from raw edge lists: isolated vertices and
     several components are common unless a spanning path is added."""
-    n = draw(st.integers(1, 64))
+    n = draw(st.integers(1, max_n))
     vertex = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
     edges = [(u, v) for u, v in pairs if u != v]

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from msetdim import (
+    DEFAULT_BUDGET,
+    KINDS,
     BudgetExceededError,
+    Graph,
     KIND_MULTISET,
     complete_graph,
     cycle_graph,
@@ -22,7 +29,78 @@ from msetdim import (
     verify_resolving,
 )
 
-from .conftest import random_connected_graph
+from msetdim import exact
+from msetdim.exact import HARD_CAP
+
+from .conftest import (
+    exhaustive_search_oracle,
+    monotonicity_violation_oracle,
+    random_connected_graph,
+    small_graphs,
+)
+
+
+# A path 0..14 whose end vertex 14 lies in a K4: diameter 14, twin vertices.
+LOLLIPOP = Graph.from_edges(
+    18, [(i, i + 1) for i in range(14)] + [(a, b) for a in range(14, 18) for b in range(a + 1, 18)]
+)
+
+
+def _fields(out):
+    return out.value, out.witness, out.subsets_examined, out.proven_at_least
+
+
+class TestAgainstOracle:
+    @given(small_graphs(max_n=9), st.sampled_from([None, 1, 2]))
+    @example(Graph.from_edges(1, []), None)
+    @example(Graph.from_edges(1, []), 1)
+    @example(Graph.from_edges(6, []), None)
+    @example(Graph.from_edges(7, [(0, 1), (2, 3), (3, 4)]), 2)
+    @settings(max_examples=80, deadline=None)
+    def test_search_matches_oracle(self, g, size_limit):
+        for kind in KINDS:
+            out = exact._search(g, kind, DEFAULT_BUDGET, size_limit)
+            assert _fields(out) == exhaustive_search_oracle(g, kind, size_limit), kind
+        assert find_monotonicity_violation(g) == monotonicity_violation_oracle(g)
+
+    # Keys of these graphs span two int64 words; on path_graph(18) with the
+    # high word dropped, vertices 12-17 would all collide under the set {0}.
+    @pytest.mark.parametrize(
+        "g, kind, size_limit",
+        [
+            (path_graph(18), "metric", None),
+            (path_graph(18), "outer-multiset", None),
+            (path_graph(18), "multiset", None),
+            (path_graph(22), "multiset", 2),
+            (LOLLIPOP, "outer-multiset", None),
+            (LOLLIPOP, "multiset", 2),
+        ],
+    )
+    def test_two_word_keys(self, g, kind, size_limit):
+        assert len(exact._weights(g, kind)) == 2
+        with pytest.warns(UserWarning):
+            out = exact._search(g, kind, HARD_CAP, size_limit)
+        assert _fields(out) == exhaustive_search_oracle(g, kind, size_limit)
+
+
+def test_memory_bound_at_hard_cap():
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning):
+            out = multiset_dimension_exact(complete_graph(22), budget=HARD_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.value == math.inf and out.subsets_examined == 2**22 - 1
+    assert peak <= 256 * 10**6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_report_rechecks_witnesses(monkeypatch):
+    # A key kernel that accepts every subset: the chain still holds (all 1),
+    # but verify_resolving must reject the witness (0,) on K4.
+    monkeypatch.setattr(exact, "_resolves", lambda keys: np.ones(keys.shape[1], dtype=bool))
+    with pytest.raises(AssertionError, match="fails verify_resolving"):
+        dimension_report(complete_graph(4))
 
 
 class TestMetricDimension:
