@@ -50,7 +50,6 @@ from .exponents import (
     upper_bound_exponent,
 )
 from .graphs import (
-    DENSE_LIMIT,
     ExpansionReport,
     Graph,
     GraphFormatError,
@@ -87,17 +86,13 @@ from .signatures import (
     KIND_MULTISET,
     KIND_OUTER,
     KINDS,
-    DistortionSummary,
     MetricSignature,
     MultisetSignature,
     ResolvingVerdict,
     all_multiset_signatures,
-    embed_metric,
-    embed_multiset,
     metric_signature,
     multiset_signature,
     naive_verify_resolving,
-    signature_csv_lines,
     verify_resolving,
 )
 

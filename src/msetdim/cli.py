@@ -31,7 +31,6 @@ from .construction import (
 from .exponents import regime, regime_from_degree, threshold_curves
 from .graphs import (
     Graph,
-    GraphFormatError,
     RandomGraphSpec,
     audit_expansion,
     generate_gnp,
@@ -54,100 +53,42 @@ class InputError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Option plumbing
+# Output, config and graph plumbing
 # ---------------------------------------------------------------------------
 
-DEFAULTS: dict[str, dict] = {
-    "gen": {"n": 100, "p": None, "x": None, "seed": 0, "out": "graph.edges",
-            "threads": 1},
-    "exact": {"graph": None, "budget": exact_mod.DEFAULT_BUDGET, "out": None,
-              "format": "json", "threads": 1},
-    "curves": {
-        "levels": "1,4",
-        "points": 1000,
-        "x_min": None,
-        "tol": 1e-12,
-        "rational": False,
-        "out": "curves.csv",
-        "format": "csv",
-        "threads": 1,
-    },
-    "randomized": {
-        "graph": None,
-        "n": None,
-        "p": None,
-        "x": None,
-        "graph_seed": 0,
-        "r": None,
-        "growth": 2.0,
-        "max_rounds": 12,
-        "seed": 0,
-        "out": None,
-        "format": "json",
-        "threads": 1,
-    },
-    "localize": {
-        "graph": None,
-        "sensors": "auto",
-        "source": "sweep",
-        "budget": exact_mod.DEFAULT_BUDGET,
-        "out": None,
-        "threads": 1,
-    },
-    "expansion": {
-        "graph": None,
-        "n": None,
-        "p": None,
-        "x": None,
-        "graph_seed": 0,
-        "samples": 100,
-        "multiplier": 3.0,
-        "seed": 0,
-        "out": "expansion.csv",
-        "format": "csv",
-        "threads": 1,
-    },
-    "census": {
-        "graph": None,
-        "n": None,
-        "p": None,
-        "x": None,
-        "graph_seed": 0,
-        "set": None,
-        "set_size": None,
-        "k": None,
-        "seed": 0,
-        "out": "census.csv",
-        "format": "csv",
-        "threads": 1,
-    },
-    "campaign": {"config_file": None, "threads": 1, "out": "campaign.csv",
-                 "timings": False, "format": "csv"},
-}
 
-
-def _emit_table(
+def _emit(
     cfg: dict,
     header: list[str],
     rows: list,
     config: dict,
+    payload: dict | None = None,
     extra_comments: tuple[str, ...] = (),
 ) -> None:
-    """Write tabular results as CSV (default) or a JSON record array."""
-    fmt = cfg.get("format", "csv")
+    """Write results as CSV to --out, or as JSON to --out or else to stdout.
+
+    The JSON document is `payload`, by default the rows as a record array.
+    """
+    fmt = cfg.get("format")
     if fmt == "csv":
+        if not cfg.get("out"):
+            raise InputError("csv format needs --out")
         records.write_csv(cfg["out"], header, rows, config=config,
                           extra_comments=list(extra_comments))
-    elif fmt == "json":
+        return
+    if fmt != "json":
+        raise InputError(f"unknown format {fmt!r} (choose csv or json)")
+    if payload is None:
         payload = {
             "records": [
                 {key: records.format_value(val) for key, val in zip(header, row)}
                 for row in rows
             ]
         }
+    if cfg.get("out"):
         records.write_json(cfg["out"], payload, config=config)
     else:
-        raise InputError(f"unknown format {fmt!r} (choose csv or json)")
+        print(json.dumps({"config": config, **payload}, sort_keys=True, indent=2))
 
 
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
@@ -218,17 +159,8 @@ def cmd_exact(cfg: dict) -> int:
     result = exact_mod.dimension_report(g, budget=int(cfg["budget"]))
     payload = result.to_json_dict()
     config = {"command": "exact", "graph": cfg["graph"], "budget": int(cfg["budget"])}
-    if cfg.get("format", "json") == "csv":
-        if not cfg.get("out"):
-            raise InputError("csv format needs --out")
-        header = ["beta", "beta_ms_out", "beta_ms", "subsets_examined"]
-        row = [payload["beta"], payload["beta_ms_out"], payload["beta_ms"],
-               payload["subsets_examined"]]
-        records.write_csv(cfg["out"], header, [row], config=config)
-    elif cfg.get("out"):
-        records.write_json(cfg["out"], payload, config=config)
-    else:
-        print(json.dumps({"config": config, **payload}, sort_keys=True, indent=2))
+    header = ["beta", "beta_ms_out", "beta_ms", "subsets_examined"]
+    _emit(cfg, header, [[payload[key] for key in header]], config, payload)
     return EXIT_OK
 
 
@@ -257,7 +189,7 @@ def cmd_curves(cfg: dict) -> int:
     for curve in curves:
         for x, y in curve.points:
             rows.append((x, y, curve.level))
-    _emit_table(cfg, ["x", "y", "level"], rows, config)
+    _emit(cfg, ["x", "y", "level"], rows, config)
     print(f"wrote {cfg['out']}: {len(rows)} points across levels {list(levels)}")
     return EXIT_OK
 
@@ -282,26 +214,15 @@ def cmd_randomized(cfg: dict) -> int:
         "max_rounds": spec.max_rounds,
         "seed": spec.seed,
     }
-    payload = result.to_json_dict()
-    if cfg.get("format", "json") == "csv":
-        if not cfg.get("out"):
-            raise InputError("csv format needs --out")
-        header = ["round", "r", "sample_size", "verdict", "witness_u", "witness_v"]
-        rows = [
-            (rec.round, rec.target, rec.sample_size,
-             "resolving" if rec.resolving else "collision",
-             rec.witness[0] if rec.witness else "",
-             rec.witness[1] if rec.witness else "")
-            for rec in result.rounds
-        ]
-        records.write_csv(
-            cfg["out"], header, rows, config=config,
-            extra_comments=[f"summary: success={result.success}"],
-        )
-    elif cfg.get("out"):
-        records.write_json(cfg["out"], payload, config=config)
-    else:
-        print(json.dumps({"config": config, **payload}, sort_keys=True, indent=2))
+    rows = [
+        (rec.round, rec.target, rec.sample_size,
+         "resolving" if rec.resolving else "collision",
+         rec.witness[0] if rec.witness else "",
+         rec.witness[1] if rec.witness else "")
+        for rec in result.rounds
+    ]
+    _emit(cfg, ["round", "r", "sample_size", "verdict", "witness_u", "witness_v"], rows,
+          config, result.to_json_dict(), (f"summary: success={result.success}",))
     if not result.success:
         print(
             f"no resolving set within {spec.max_rounds} rounds; "
@@ -391,7 +312,7 @@ def cmd_expansion(cfg: dict) -> int:
         f"flagged_cells={len(report.flagged_cells)} "
         f"tolerance_scale={report.params.spread_tolerance:.6g}"
     )
-    _emit_table(
+    _emit(
         cfg,
         ["level", "source_size", "sample", "observed", "expected", "deviation", "flagged"],
         rows,
@@ -435,7 +356,7 @@ def cmd_census(cfg: dict) -> int:
         f"bound={report.signature_space_bound} "
         f"collision_forced={report.collision_forced}"
     )
-    _emit_table(
+    _emit(
         cfg,
         ["level", "atypical", "typical", "allowed_coords"],
         rows,
@@ -451,119 +372,104 @@ def cmd_census(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _campaign_census_depth(params: dict) -> int:
-    if params.get("k") is not None:
-        return int(params["k"])
-    spec = RandomGraphSpec(
-        n=int(params["n"]), p=params.get("p"), x=params.get("x"), seed=0
-    )
-    # Expected (not measured) degree keeps the column set identical across
-    # trials, a schema requirement.
-    return max(predicted_diameter(spec.n, spec.expected_degree) - 1, 0)
+def _campaign_measurements(command: str, params: dict, trial_seed: int | None = None):
+    """(columns, values) of one campaign trial.
 
-
-def _campaign_columns(command: str, params: dict) -> list[str]:
-    """Measured-quantity columns, derivable without running any trial."""
+    The measured-quantity columns are derivable without running any trial;
+    the values, in column order, are None unless a trial seed is given.
+    """
+    x = params.get("x")
     if command == "randomized":
-        return ["success", "rounds_used", "set_size"]
-    if command == "failure-rate":
-        return ["failure_rate", "failures"]
-    if command == "exact":
-        return ["beta", "beta_ms_out", "beta_ms"]
-    if command == "expansion":
-        radius = regime(int(params["n"]), float(params["x"])).sparse_radius
-        return [
-            f"max_dev_L{level}_s{s}"
-            for s in (1, 2)
-            for level in range(radius + 2)
-        ]
-    if command == "census":
-        depth = _campaign_census_depth(params)
-        cols = [f"atypical_frac_L{level}" for level in range(depth + 1)]
-        return cols + ["collision_forced"]
-    raise InputError(f"unknown campaign command {command!r}")
+        columns = ["success", "rounds_used", "set_size"]
+
+        def measure(g: Graph) -> list:
+            spec = CandidateSpec(
+                r=float(params.get("r") or default_target_size(g.n, x)),
+                growth=float(params.get("growth", 2.0)),
+                max_rounds=int(params.get("max_rounds", 12)),
+                seed=trial_seed,
+            )
+            result = construct_resolving(g, spec)
+            return [
+                int(result.success),
+                result.rounds_used,
+                len(result.resolving_set) if result.resolving_set else -1,
+            ]
+    elif command == "failure-rate":
+        columns = ["failure_rate", "failures"]
+
+        def measure(g: Graph) -> list:
+            est = estimate_failure_rate(
+                g, float(params["r"]), int(params.get("trials_per_graph", 20)), trial_seed
+            )
+            return [est.rate, est.failures]
+    elif command == "exact":
+        columns = ["beta", "beta_ms_out", "beta_ms"]
+
+        def measure(g: Graph) -> list:
+            result = exact_mod.dimension_report(g, budget=int(params.get("budget", 16)))
+            return [
+                result.metric_dim,
+                result.outer_multiset_dim,
+                "inf" if math.isinf(result.multiset_dim) else result.multiset_dim,
+            ]
+    elif command == "expansion":
+        regime_params = regime(int(params["n"]), float(x))
+        cells = [(level, s) for s in (1, 2) for level in range(regime_params.sparse_radius + 2)]
+        columns = [f"max_dev_L{level}_s{s}" for level, s in cells]
+
+        def measure(g: Graph) -> list:
+            report = audit_expansion(
+                g,
+                regime_params,
+                sample_size=int(params.get("samples", 50)),
+                seed=trial_seed,
+                multiplier=float(params.get("multiplier", 3.0)),
+            )
+            dev = {(cell.level, cell.source_size): cell.max_abs_deviation
+                   for cell in report.levels}
+            return [dev[cell] for cell in cells]
+    elif command == "census":
+        depth = params.get("k")
+        if depth is None:
+            spec = RandomGraphSpec(n=int(params["n"]), p=params.get("p"), x=x, seed=0)
+            # Expected (not measured) degree keeps the column set identical
+            # across trials, a schema requirement.
+            depth = max(predicted_diameter(spec.n, spec.expected_degree) - 1, 0)
+        columns = [f"atypical_frac_L{level}" for level in range(int(depth) + 1)]
+        columns.append("collision_forced")
+
+        def measure(g: Graph) -> list:
+            size = int(params.get("set_size") or math.isqrt(g.n))
+            report = typicality_census(g, draw_census_set(g, size, trial_seed), int(depth))
+            fractions = [lvl.atypical_count / g.n for lvl in report.levels]
+            return fractions + [int(report.collision_forced)]
+    else:
+        raise InputError(f"unknown campaign command {command!r}")
+    if trial_seed is None:
+        return columns, None
+    g = generate_gnp(RandomGraphSpec(n=params.get("n"), p=params.get("p"), x=x, seed=trial_seed))
+    return columns, measure(g)
 
 
-def _campaign_trial(task: tuple) -> tuple[int, list, float]:
-    """One seeded trial: (ok flag, quantity values in column order, elapsed ms).
+def _campaign_trial(task: tuple) -> tuple[list | None, float]:
+    """One seeded trial: (quantity values in column order, elapsed ms).
 
-    Per-draw precondition failures (e.g. a disconnected random graph) are
-    recorded as ok=0 with empty value cells so a long campaign never dies on
-    one bad sample; configuration errors (budget refusals, unknown commands)
-    still abort the whole campaign.
+    Per-draw precondition failures (e.g. a disconnected random graph) give
+    values None, recorded as ok=0 with empty value cells, so a long campaign
+    never dies on one bad sample; configuration errors (budget refusals,
+    unknown commands) still abort the whole campaign.
     """
     command, params, trial, trial_seed = task
     start = time.perf_counter()
     try:
-        values = _campaign_measurements(command, params, trial_seed)
-        ok = 1
+        _, values = _campaign_measurements(command, params, trial_seed)
     except (exact_mod.BudgetExceededError, InputError):
         raise
     except ValueError as exc:
         print(f"trial {trial} (seed {trial_seed}) skipped: {exc}", file=sys.stderr)
-        values = [""] * len(_campaign_columns(command, params))
-        ok = 0
-    return ok, values, (time.perf_counter() - start) * 1e3
-
-
-def _campaign_measurements(command: str, params: dict, trial_seed: int) -> list:
-    n = params.get("n")
-    x = params.get("x")
-    values: list = []
-    if command == "randomized":
-        g = generate_gnp(RandomGraphSpec(n=n, p=params.get("p"), x=x, seed=trial_seed))
-        target = params.get("r") or default_target_size(g.n, x)
-        spec = CandidateSpec(
-            r=float(target),
-            growth=float(params.get("growth", 2.0)),
-            max_rounds=int(params.get("max_rounds", 12)),
-            seed=trial_seed,
-        )
-        result = construct_resolving(g, spec)
-        values = [
-            int(result.success),
-            result.rounds_used,
-            len(result.resolving_set) if result.resolving_set else -1,
-        ]
-    elif command == "failure-rate":
-        g = generate_gnp(RandomGraphSpec(n=n, p=params.get("p"), x=x, seed=trial_seed))
-        est = estimate_failure_rate(
-            g, float(params["r"]), int(params.get("trials_per_graph", 20)), trial_seed
-        )
-        values = [est.rate, est.failures]
-    elif command == "expansion":
-        g = generate_gnp(RandomGraphSpec(n=n, p=params.get("p"), x=x, seed=trial_seed))
-        report = audit_expansion(
-            g,
-            regime(g.n, float(x)),
-            sample_size=int(params.get("samples", 50)),
-            seed=trial_seed,
-            multiplier=float(params.get("multiplier", 3.0)),
-        )
-        cells = {
-            (cell.level, cell.source_size): cell.max_abs_deviation
-            for cell in report.levels
-        }
-        radius = report.params.sparse_radius
-        values = [cells[(level, s)] for s in (1, 2) for level in range(radius + 2)]
-    elif command == "census":
-        g = generate_gnp(RandomGraphSpec(n=n, p=params.get("p"), x=x, seed=trial_seed))
-        size = int(params.get("set_size") or math.isqrt(g.n))
-        members = draw_census_set(g, size, trial_seed)
-        report = typicality_census(g, members, _campaign_census_depth(params))
-        values = [lvl.atypical_count / g.n for lvl in report.levels]
-        values.append(int(report.collision_forced))
-    elif command == "exact":
-        g = generate_gnp(RandomGraphSpec(n=n, p=params.get("p"), x=x, seed=trial_seed))
-        result = exact_mod.dimension_report(g, budget=int(params.get("budget", 16)))
-        values = [
-            result.metric_dim,
-            result.outer_multiset_dim,
-            "inf" if math.isinf(result.multiset_dim) else result.multiset_dim,
-        ]
-    else:
-        raise InputError(f"unknown campaign command {command!r}")
-    return values
+        values = None
+    return values, (time.perf_counter() - start) * 1e3
 
 
 def cmd_campaign(cfg: dict) -> int:
@@ -579,7 +485,7 @@ def cmd_campaign(cfg: dict) -> int:
     master = int(plan["seed"])
     params = plan.get("params", {})
     timings = bool(cfg.get("timings"))
-    columns = _campaign_columns(command, params)
+    columns, _ = _campaign_measurements(command, params)
     tasks = [
         (command, params, t, derive_seed(master, CAMPAIGN_TRIAL, t))
         for t in range(trials)
@@ -594,8 +500,10 @@ def cmd_campaign(cfg: dict) -> int:
     if timings:
         header.append("wall_ms")
     rows = []
-    for (command_, params_, trial, trial_seed), (ok, values, elapsed) in zip(tasks, outcomes):
-        row = [trial, trial_seed, params.get("n"), params.get("x"), ok, *values]
+    for (_, _, trial, trial_seed), (values, elapsed) in zip(tasks, outcomes):
+        ok = values is not None
+        row = [trial, trial_seed, params.get("n"), params.get("x"), int(ok),
+               *(values if ok else [""] * len(columns))]
         if timings:
             row.append(elapsed)
         rows.append(row)  # one row per trial, order fixed by trial index
@@ -606,14 +514,85 @@ def cmd_campaign(cfg: dict) -> int:
         "campaign": {k: plan[k] for k in ("command", "trials", "seed")},
         "params": params,
     }
-    _emit_table(cfg, header, rows, config)
+    _emit(cfg, header, rows, config)
     print(f"wrote {cfg['out']}: {len(rows)} trial rows")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# Parser and dispatch
+# Options, parser and dispatch
 # ---------------------------------------------------------------------------
+
+# Every option once: name -> (type, default, help).  A dict default is per
+# command, None for a command it does not name.  Type bool is a switch, a
+# tuple lists the choices, and config_file is campaign's positional plan; any
+# other option's flag is its name with "-" for "_".
+OPTIONS: dict[str, tuple] = {
+    "out": (str, {"gen": "graph.edges", "curves": "curves.csv", "expansion": "expansion.csv",
+                  "census": "census.csv", "campaign": "campaign.csv"}, "output path"),
+    "format": (("csv", "json"), {"exact": "json", "curves": "csv", "randomized": "json",
+                                 "expansion": "csv", "census": "csv", "campaign": "csv"},
+               "output format where the command supports both"),
+    "threads": (int, 1, "worker pool size (campaign); outputs never depend on it"),
+    "graph": (str, None, None),
+    "n": (int, {"gen": 100}, None),
+    "p": (float, None, None),
+    "x": (float, None, None),
+    "graph_seed": (int, 0, None),
+    "seed": (int, 0, None),
+    "budget": (int, exact_mod.DEFAULT_BUDGET, None),
+    "levels": (str, "1,4", None),
+    "points": (int, 1000, None),
+    "x_min": (str, None, None),
+    "tol": (float, 1e-12, None),
+    "rational": (bool, False, None),
+    "r": (float, None, None),
+    "growth": (float, 2.0, None),
+    "max_rounds": (int, 12, None),
+    "sensors": (str, "auto", '"auto" or comma-separated vertices'),
+    "source": (str, "sweep", 'vertex id or "sweep"'),
+    "samples": (int, 100, None),
+    "multiplier": (float, 3.0, None),
+    "set": (str, None, "comma-separated sensor vertices"),
+    "set_size": (int, None, None),
+    "k": (int, None, None),
+    "config_file": (str, None, None),
+    "timings": (bool, False, "include wall-clock column (breaks byte determinism)"),
+}
+
+_TABULAR = ("out", "format", "threads")
+_GRAPH = ("graph", "n", "p", "x", "graph_seed")
+
+# command -> (handler, help, its options in flag order)
+COMMANDS: dict[str, tuple] = {
+    "gen": (cmd_gen, "sample a seeded binomial random graph to an edge-list file",
+            ("out", "threads", "n", "p", "x", "seed")),
+    "exact": (cmd_exact, "exhaustive dimensions of a small graph (JSON)",
+              (*_TABULAR, "graph", "budget")),
+    "curves": (cmd_curves, "threshold-exponent level curves (CSV)",
+               (*_TABULAR, "levels", "points", "x_min", "tol", "rational")),
+    "randomized": (cmd_randomized, "sample-verify-grow construction (JSON round log)",
+                   (*_TABULAR, *_GRAPH, "r", "growth", "max_rounds", "seed")),
+    "localize": (cmd_localize, "spread/observe/identify transcripts (JSON lines)",
+                 ("out", "threads", "graph", "sensors", "source", "budget")),
+    "expansion": (cmd_expansion, "sphere-size audit on a random graph (CSV)",
+                  (*_TABULAR, *_GRAPH, "samples", "multiplier", "seed")),
+    "census": (cmd_census, "typical/atypical vertex census (CSV)",
+               (*_TABULAR, *_GRAPH, "set", "set_size", "k", "seed")),
+    "campaign": (cmd_campaign, "aggregate seeded trials of another command (CSV)",
+                 (*_TABULAR, "config_file", "timings")),
+}
+
+
+def _default(name: str, command: str):
+    default = OPTIONS[name][1]
+    return default.get(command) if isinstance(default, dict) else default
+
+
+DEFAULTS: dict[str, dict] = {
+    command: {name: _default(name, command) for name in names}
+    for command, (_, _, names) in COMMANDS.items()
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -624,92 +603,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "5 verification failure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text, argument_default=None)
+    for command, (_, help_text, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, argument_default=None)
+        # --config names the file that supplies defaults; it is no config key.
         p.add_argument("--config", help="JSON file with defaults for this command")
-        p.add_argument("--out", help="output path")
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="output format where the command supports both")
-        p.add_argument(
-            "--threads", type=int,
-            help="worker pool size (campaign); outputs never depend on it",
-        )
-        return p
-
-    p = add("gen", "sample a seeded binomial random graph to an edge-list file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--x", type=float)
-    p.add_argument("--seed", type=int)
-
-    p = add("exact", "exhaustive dimensions of a small graph (JSON)")
-    p.add_argument("--graph")
-    p.add_argument("--budget", type=int)
-
-    p = add("curves", "threshold-exponent level curves (CSV)")
-    p.add_argument("--levels")
-    p.add_argument("--points", type=int)
-    p.add_argument("--x-min", dest="x_min")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--rational", action="store_const", const=True)
-
-    p = add("randomized", "sample-verify-grow construction (JSON round log)")
-    p.add_argument("--graph")
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--x", type=float)
-    p.add_argument("--graph-seed", dest="graph_seed", type=int)
-    p.add_argument("--r", type=float)
-    p.add_argument("--growth", type=float)
-    p.add_argument("--max-rounds", dest="max_rounds", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = add("localize", "spread/observe/identify transcripts (JSON lines)")
-    p.add_argument("--graph")
-    p.add_argument("--sensors", help='"auto" or comma-separated vertices')
-    p.add_argument("--source", help='vertex id or "sweep"')
-    p.add_argument("--budget", type=int)
-
-    p = add("expansion", "sphere-size audit on a random graph (CSV)")
-    p.add_argument("--graph")
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--x", type=float)
-    p.add_argument("--graph-seed", dest="graph_seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--multiplier", type=float)
-    p.add_argument("--seed", type=int)
-
-    p = add("census", "typical/atypical vertex census (CSV)")
-    p.add_argument("--graph")
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--x", type=float)
-    p.add_argument("--graph-seed", dest="graph_seed", type=int)
-    p.add_argument("--set", help="comma-separated sensor vertices")
-    p.add_argument("--set-size", dest="set_size", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = add("campaign", "aggregate seeded trials of another command (CSV)")
-    p.add_argument("config_file", nargs="?")
-    p.add_argument("--timings", action="store_const", const=True,
-                   help="include wall-clock column (breaks byte determinism)")
-
+        for name in names:
+            kind, _, help_opt = OPTIONS[name]
+            flag = "--" + name.replace("_", "-")
+            if name == "config_file":
+                p.add_argument(name, nargs="?", help=help_opt)
+            elif kind is bool:
+                p.add_argument(flag, action="store_const", const=True, help=help_opt)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, help=help_opt)
+            else:
+                p.add_argument(flag, type=kind, help=help_opt)
     return parser
-
-
-_HANDLERS = {
-    "gen": cmd_gen,
-    "exact": cmd_exact,
-    "curves": cmd_curves,
-    "randomized": cmd_randomized,
-    "localize": cmd_localize,
-    "expansion": cmd_expansion,
-    "census": cmd_census,
-    "campaign": cmd_campaign,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -717,14 +626,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args.command, args)
-        return _HANDLERS[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except exact_mod.BudgetExceededError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InputError, GraphFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # InputError, GraphFormatError, bad JSON
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -22,7 +22,7 @@ import numpy as np
 from .exponents import UPPER_BOUND_MAX_X, upper_bound_exponent
 from .graphs import Graph, _level_counts, distances_from, is_connected
 from .seeding import CANDIDATE, CENSUS_SET, FAILURE_TRIAL, substream
-from .signatures import KIND_MULTISET, verify_resolving
+from .signatures import KIND_MULTISET, _canonical_members, verify_resolving
 
 
 @dataclass(frozen=True)
@@ -259,11 +259,7 @@ def typicality_census(g: Graph, R: Sequence[int], k: int) -> TypicalityReport:
     use the ceiling of the same quantity, maximized over typical vertices,
     and their product bounds the signatures available to typical vertices.
     """
-    members = sorted({int(v) for v in R})
-    if not members:
-        raise ValueError("sensor set must be non-empty")
-    for v in members:
-        g._check_vertex(v)
+    members = list(_canonical_members(g, R))
     if not is_connected(g):
         raise ValueError("census requires a connected graph")
     n = g.n

@@ -81,7 +81,10 @@ class DimensionResult:
         }
 
 
-def _check_budget(g: Graph, budget: int) -> None:
+def _check_budget(g: Graph, budget: int, stacklevel: int) -> None:
+    """Refuse graphs over the budget and warn above DEFAULT_BUDGET, at the
+    stacklevel of the public function's caller (each entry point knows its
+    own depth)."""
     cap = min(budget, HARD_CAP)
     if g.n > cap:
         raise BudgetExceededError(
@@ -91,7 +94,7 @@ def _check_budget(g: Graph, budget: int) -> None:
     if g.n > DEFAULT_BUDGET:
         warnings.warn(
             f"exhaustive search on n={g.n} vertices may take a while",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -159,7 +162,9 @@ def _members(mask: int, n: int) -> tuple[int, ...]:
 def _search(
     g: Graph, kind: str, budget: int, size_limit: int | None = None
 ) -> SearchOutcome:
-    _check_budget(g, budget)
+    # Called straight from the public functions: _check_budget, _search and
+    # the entry point lie between warn and the user's line.
+    _check_budget(g, budget, stacklevel=4)
     n = g.n
     examined = 0
     max_size = n if size_limit is None else min(size_limit, n)
@@ -204,9 +209,9 @@ def dimension_report(g: Graph, budget: int = DEFAULT_BUDGET) -> DimensionResult:
     each witness must pass verify_resolving (BFS histograms, not the
     search's keys); a violation is a solver bug and raises immediately.
     """
-    metric = metric_dimension_exact(g, budget)
-    outer = outer_multiset_dimension_exact(g, budget)
-    multi = multiset_dimension_exact(g, budget)
+    metric = _search(g, KIND_METRIC, budget)
+    outer = _search(g, KIND_OUTER, budget)
+    multi = _search(g, KIND_MULTISET, budget)
     m_val = multi.value if multi.value is not None else math.inf
     if not (m_val >= outer.value >= metric.value):
         raise AssertionError(
@@ -238,7 +243,7 @@ def find_monotonicity_violation(
     Subsets are scanned in search order; returns the first violation found,
     or None if the graph has no resolving set at all (or no violation).
     """
-    _check_budget(g, budget)
+    _check_budget(g, budget, stacklevel=3)
     n = g.n
     resolves = np.zeros(1 << n, dtype=bool)  # verdict per vertex bitmask
     found = []  # resolving subsets in search order

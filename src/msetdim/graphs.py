@@ -18,10 +18,6 @@ from .seeding import AUDIT_PAIRS, AUDIT_SINGLES, GNP_EDGES, substream
 
 UNREACHABLE = -1
 
-# Largest vertex count the signature embeddings accept: their distortion
-# summaries compare every vertex pair through one n x n distance matrix.
-DENSE_LIMIT = 4096
-
 # Sources per BFS kernel call: each vertex keeps one bit per source in a
 # single uint64 word.
 BLOCK = 64

@@ -1,4 +1,4 @@
-"""Distance signatures, resolving-set verification, and embeddings.
+"""Distance signatures and resolving-set verification.
 
 A sensor set R assigns every vertex v two fingerprints: the metric signature
 (the vector of distances to R's members, in a fixed order) and the multiset
@@ -18,14 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import (
-    DENSE_LIMIT,
     Graph,
     _block_depths,
     _level_counts,
     bfs_distances,
-    distance_matrix,
     distances_from,
-    is_connected,
 )
 
 KIND_METRIC = "metric"
@@ -300,83 +297,3 @@ def naive_verify_resolving(g: Graph, R: Sequence[int], kind: str = KIND_MULTISET
                     kind=kind, resolving=False, witness=(u, v), witness_signature=sigs[v]
                 )
     return ResolvingVerdict(kind=kind, resolving=True)
-
-
-# ---------------------------------------------------------------------------
-# Embeddings
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DistortionSummary:
-    """Statistics of |euclidean(row_u, row_v) - d(u, v)| over all pairs."""
-
-    pairs: int
-    min_abs_error: float
-    mean_abs_error: float
-    max_abs_error: float
-
-
-def _distortion(matrix: np.ndarray, dm: np.ndarray) -> DistortionSummary:
-    from scipy.spatial.distance import pdist, squareform
-
-    embed_d = pdist(matrix.astype(np.float64))
-    graph_d = squareform(dm.astype(np.float64), checks=False)
-    err = np.abs(embed_d - graph_d)
-    return DistortionSummary(
-        pairs=int(err.size),
-        min_abs_error=float(err.min()) if err.size else 0.0,
-        mean_abs_error=float(err.mean()) if err.size else 0.0,
-        max_abs_error=float(err.max()) if err.size else 0.0,
-    )
-
-
-def embed_multiset(g: Graph, R: Sequence[int]) -> tuple[np.ndarray, DistortionSummary]:
-    """Rows are multiset signatures: an n x (diam+1) integer matrix.
-
-    Connected graphs only; n is capped at DENSE_LIMIT because the distortion
-    summary touches all vertex pairs.
-    """
-    members = _canonical_members(g, R)
-    if not is_connected(g):
-        raise ValueError("embedding requires a connected graph")
-    if g.n > DENSE_LIMIT:
-        raise ValueError(f"embedding supported up to n={DENSE_LIMIT}")
-    dm = distance_matrix(g)
-    length = int(dm.max()) + 1
-    rows = dm[list(members), :]
-    matrix = _count_matrix(rows, length)[:, :length]
-    return matrix, _distortion(matrix, dm)
-
-
-def embed_metric(g: Graph, R: Sequence[int]) -> tuple[np.ndarray, DistortionSummary]:
-    """Rows are ordered distance vectors: an n x |R| integer matrix."""
-    members = _canonical_members(g, R)
-    if not is_connected(g):
-        raise ValueError("embedding requires a connected graph")
-    if g.n > DENSE_LIMIT:
-        raise ValueError(f"embedding supported up to n={DENSE_LIMIT}")
-    dm = distance_matrix(g)
-    matrix = dm[:, list(members)].copy()
-    return matrix, _distortion(matrix, dm)
-
-
-# ---------------------------------------------------------------------------
-# Dump format
-# ---------------------------------------------------------------------------
-
-
-def signature_csv_lines(g: Graph, R: Sequence[int]) -> list[str]:
-    """Signature dump: header `vertex,k0,...,kD` then one row per vertex.
-
-    A trailing `kinf` column is appended when the graph is disconnected.
-    """
-    matrix, length = all_multiset_signatures(g, R)
-    disconnected = bool(matrix[:, length].any())
-    cols = [f"k{i}" for i in range(length)] + (["kinf"] if disconnected else [])
-    lines = ["vertex," + ",".join(cols)]
-    width = length + (1 if disconnected else 0)
-    for v in range(g.n):
-        vals = ",".join(str(int(c)) for c in matrix[v, :width])
-        lines.append(f"{v},{vals}")
-    return lines

@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from msetdim import path_graph, read_edge_list, write_edge_list
 from msetdim.records import read_csv
 
@@ -247,6 +249,14 @@ class TestExpansionAndCensus:
         for row in rows:
             assert int(row[1]) + int(row[2]) == 400
 
+    def test_census_rejects_duplicate_sensors(self, tmp_path):
+        res = run_cli(
+            "census", "--n", "100", "--x", "0.5", "--set", "3,3,7", "--k", "1",
+            "--out", str(tmp_path / "census.csv"),
+        )
+        assert res.returncode == 3
+        assert "duplicates" in res.stderr
+
 
 class TestCampaign:
     def _plan(self, tmp_path, trials: int) -> str:
@@ -357,3 +367,121 @@ class TestCampaign:
         path.write_text(json.dumps(plan))
         res = run_cli("campaign", str(path), "--out", str(tmp_path / "camp.csv"))
         assert res.returncode == 4
+
+
+def _subparsers():
+    from msetdim.cli import _build_parser
+
+    parser = _build_parser()
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return action.choices
+
+
+_TABULAR_FLAGS = {"--out", "--format", "--threads"}
+_GRAPH_FLAGS = {"--graph", "--n", "--p", "--x", "--graph-seed"}
+_GRAPH_DEFAULTS = {"graph": None, "n": None, "p": None, "x": None, "graph_seed": 0}
+
+# Flags (positionals by dest) and config defaults of every command.
+SURFACE = {
+    "gen": (
+        {"--out", "--threads", "--n", "--p", "--x", "--seed"},
+        {"n": 100, "p": None, "x": None, "seed": 0, "out": "graph.edges", "threads": 1},
+    ),
+    "exact": (
+        _TABULAR_FLAGS | {"--graph", "--budget"},
+        {"graph": None, "budget": 16, "out": None, "format": "json", "threads": 1},
+    ),
+    "curves": (
+        _TABULAR_FLAGS | {"--levels", "--points", "--x-min", "--tol", "--rational"},
+        {"levels": "1,4", "points": 1000, "x_min": None, "tol": 1e-12, "rational": False,
+         "out": "curves.csv", "format": "csv", "threads": 1},
+    ),
+    "randomized": (
+        _TABULAR_FLAGS | _GRAPH_FLAGS | {"--r", "--growth", "--max-rounds", "--seed"},
+        {**_GRAPH_DEFAULTS, "r": None, "growth": 2.0, "max_rounds": 12, "seed": 0,
+         "out": None, "format": "json", "threads": 1},
+    ),
+    "localize": (
+        {"--out", "--threads", "--graph", "--sensors", "--source", "--budget"},
+        {"graph": None, "sensors": "auto", "source": "sweep", "budget": 16, "out": None,
+         "threads": 1},
+    ),
+    "expansion": (
+        _TABULAR_FLAGS | _GRAPH_FLAGS | {"--samples", "--multiplier", "--seed"},
+        {**_GRAPH_DEFAULTS, "samples": 100, "multiplier": 3.0, "seed": 0,
+         "out": "expansion.csv", "format": "csv", "threads": 1},
+    ),
+    "census": (
+        _TABULAR_FLAGS | _GRAPH_FLAGS | {"--set", "--set-size", "--k", "--seed"},
+        {**_GRAPH_DEFAULTS, "set": None, "set_size": None, "k": None, "seed": 0,
+         "out": "census.csv", "format": "csv", "threads": 1},
+    ),
+    "campaign": (
+        _TABULAR_FLAGS | {"config_file", "--timings"},
+        {"config_file": None, "threads": 1, "out": "campaign.csv", "timings": False,
+         "format": "csv"},
+    ),
+}
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_flags_and_defaults(self, command):
+        from msetdim.cli import DEFAULTS
+
+        flags, defaults = SURFACE[command]
+        sub = _subparsers()[command]
+        seen = {s for a in sub._actions for s in (a.option_strings or [a.dest])}
+        assert seen == flags | {"-h", "--help", "--config"}
+        assert DEFAULTS[command] == defaults
+
+    def test_commands(self):
+        assert list(_subparsers()) == list(SURFACE)
+
+    @pytest.mark.parametrize("command", ["gen", "localize"])
+    def test_format_only_where_read(self, command):
+        assert run_cli(command, "--format", "json").returncode == 2
+
+    def test_unknown_config_key_is_input_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"points": 10, "colour": "red"}))
+        res = run_cli("curves", "--config", str(cfg), "--out", str(tmp_path / "c.csv"))
+        assert res.returncode == 3
+        assert "colour" in res.stderr
+
+    @pytest.mark.parametrize("command", ["exact", "randomized"])
+    def test_csv_needs_out(self, tmp_path, command):
+        gpath = tmp_path / "p5.edges"
+        write_edge_list(path_graph(5), str(gpath))
+        res = run_cli(command, "--graph", str(gpath), "--format", "csv")
+        assert res.returncode == 3
+        assert "--out" in res.stderr
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: importing the package loads none of
+    # it, and no command reaches for it once it cannot be imported.
+    script = """
+import json, os, sys
+import msetdim.cli
+assert "scipy" not in sys.modules
+sys.modules["scipy"] = None
+os.chdir(sys.argv[1])
+from msetdim import path_graph, write_edge_list
+write_edge_list(path_graph(6), "p6.edges")
+runs = {
+    "curves": ["curves", "--points", "20", "--out", "c.csv"],
+    "exact": ["exact", "--graph", "p6.edges", "--out", "e.json"],
+    "randomized": ["randomized", "--graph", "p6.edges", "--r", "1", "--out", "r.json"],
+    "localize": ["localize", "--graph", "p6.edges", "--out", "l.jsonl"],
+    "expansion": ["expansion", "--n", "200", "--x", "0.5", "--samples", "5", "--out", "x.csv"],
+    "census": ["census", "--n", "100", "--x", "0.5", "--out", "s.csv"],
+}
+print(json.dumps({name: msetdim.cli.main(argv) for name, argv in runs.items()}))
+"""
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    codes = json.loads(res.stdout.splitlines()[-1])
+    assert set(codes) == {"curves", "exact", "randomized", "localize", "expansion", "census"}
+    assert all(code in (0, 5) for code in codes.values()), codes

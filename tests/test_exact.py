@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,18 @@ class TestBudget:
         with pytest.warns(UserWarning):
             out = multiset_dimension_exact(path_graph(17), budget=22, size_limit=1)
         assert out.value == 1
+
+    def test_warning_names_the_callers_line(self):
+        g = path_graph(17)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            metric_dimension_exact(g, budget=22)
+            multiset_dimension_exact(g, budget=22, size_limit=1)
+            find_monotonicity_violation(g, budget=22)
+            dimension_report(g, budget=22)
+        assert len(caught) == 6  # dimension_report runs three searches
+        for w in caught:
+            assert w.filename == __file__, (w.filename, w.lineno)
 
 
 def test_non_monotonicity_witness_on_p4():

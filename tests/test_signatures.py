@@ -1,12 +1,10 @@
-"""Signature computation, verification of the three resolving notions, and
-embeddings."""
+"""Signature computation and verification of the three resolving notions."""
 
 from __future__ import annotations
 
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,15 +19,11 @@ from msetdim import (
     bfs_spheres,
     complete_graph,
     cycle_graph,
-    diameter,
     distances_from,
-    embed_metric,
-    embed_multiset,
     metric_signature,
     multiset_signature,
     naive_verify_resolving,
     path_graph,
-    signature_csv_lines,
     verify_resolving,
 )
 
@@ -180,60 +174,6 @@ class TestVerifyResolving:
         verdict = verify_resolving(complete_graph(3), [0], KIND_MULTISET)
         doc = json.loads(json.dumps(verdict.to_json_dict()))
         assert doc == {"kind": "multiset", "resolving": False, "witness": [1, 2]}
-
-
-class TestEmbeddings:
-    def test_multiset_dimension_is_diameter_plus_one(self, rng):
-        from msetdim import is_connected
-
-        for _ in range(10):
-            g = random_graph(rng, 3, 9)
-            if not is_connected(g):
-                continue
-            matrix, _ = embed_multiset(g, [0])
-            assert matrix.shape == (g.n, int(diameter(g)) + 1)
-
-    def test_path_unit_rows(self):
-        matrix, summary = embed_multiset(path_graph(3), [0])
-        assert matrix.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert summary.pairs == 3
-
-    def test_resolving_set_gives_distinct_rows(self):
-        matrix, _ = embed_multiset(cycle_graph(6), [0, 1, 3])
-        assert np.unique(matrix, axis=0).shape[0] == 6
-
-    def test_metric_embedding_shape_and_rows(self):
-        matrix, summary = embed_metric(path_graph(4), [0, 3])
-        assert matrix.tolist() == [[0, 3], [1, 2], [2, 1], [3, 0]]
-        # farthest pair: euclidean 3*sqrt(2) vs graph distance 3
-        assert summary.max_abs_error == pytest.approx(3 * math.sqrt(2) - 3)
-
-    def test_single_sensor_zero_distortion_on_its_pairs(self):
-        g = path_graph(5)
-        matrix, _ = embed_metric(g, [0])
-        dv = matrix[:, 0]
-        for v in range(1, 5):
-            assert abs(dv[v] - dv[0]) == v
-
-    def test_disconnected_rejected(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError):
-            embed_multiset(g, [0])
-        with pytest.raises(ValueError):
-            embed_metric(g, [0])
-
-
-class TestCsvDump:
-    def test_header_and_rows(self):
-        lines = signature_csv_lines(cycle_graph(6), [0, 1, 3])
-        assert lines[0] == "vertex,k0,k1,k2,k3"
-        assert lines[3] == "2,0,2,1,0"
-        assert len(lines) == 7
-
-    def test_disconnected_gains_inf_column(self):
-        g = Graph.from_edges(3, [(0, 1)])
-        lines = signature_csv_lines(g, [0, 2])
-        assert lines[0].endswith(",kinf")
 
 
 def test_bulk_signatures_match_single(rng):
