@@ -11,6 +11,7 @@ or values), 4 budget refusal, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -323,12 +324,17 @@ def cmd_expansion(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _census_size(n: int) -> int:
+    """Default census set size: ceil(sqrt(n)) sensors."""
+    return math.isqrt(n - 1) + 1
+
+
 def cmd_census(cfg: dict) -> int:
     g, graph_cfg = _build_graph(cfg)
     if cfg.get("set"):
         members = tuple(int(t) for t in str(cfg["set"]).split(",") if t != "")
     else:
-        size = cfg.get("set_size") or math.isqrt(g.n) + (0 if math.isqrt(g.n) ** 2 == g.n else 1)
+        size = cfg.get("set_size") or _census_size(g.n)
         members = draw_census_set(g, int(size), int(cfg["seed"]))
     if cfg.get("k") is not None:
         k = int(cfg["k"])
@@ -342,27 +348,15 @@ def cmd_census(cfg: dict) -> int:
         "k": k,
         "seed": int(cfg["seed"]),
     }
-    rows = [
-        (
-            lvl.level,
-            lvl.atypical_count,
-            g.n - lvl.atypical_count,
-            lvl.allowed_coordinates,
-        )
-        for lvl in report.levels
-    ]
+    rows = [(lvl.level, lvl.atypical_count, g.n - lvl.atypical_count, lvl.allowed_coordinates)
+            for lvl in report.levels]
     summary = (
         f"summary: typical={report.typical_count} "
         f"bound={report.signature_space_bound} "
         f"collision_forced={report.collision_forced}"
     )
-    _emit(
-        cfg,
-        ["level", "atypical", "typical", "allowed_coords"],
-        rows,
-        config,
-        extra_comments=(summary,),
-    )
+    _emit(cfg, ["level", "atypical", "typical", "allowed_coords"], rows, config,
+          extra_comments=(summary,))
     print(f"wrote {cfg['out']}: {len(rows)} levels; {summary}")
     return EXIT_OK
 
@@ -372,24 +366,53 @@ def cmd_census(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Plan params each campaign command reads, with their defaults.  Every plan
+# also gives an integer n and one of p or x; _CAMPAIGN_REQUIRED names the
+# params a command cannot run without.
+_CAMPAIGN_PARAMS: dict[str, dict] = {
+    "randomized": {"r": None, "growth": 2.0, "max_rounds": 12},
+    "failure-rate": {"r": None, "trials_per_graph": 20},
+    "exact": {"budget": exact_mod.DEFAULT_BUDGET},
+    "expansion": {"samples": 50, "multiplier": 3.0},
+    "census": {"set_size": None, "k": None},
+}
+_CAMPAIGN_REQUIRED = {"failure-rate": "r", "expansion": "x"}
+
+
+def _campaign_plan(command: str, params: dict) -> tuple[RandomGraphSpec, dict]:
+    """The plan's graph (seed 0) and its params over the command's defaults."""
+    if command not in _CAMPAIGN_PARAMS:
+        raise InputError(f"unknown campaign command {command!r}")
+    unknown = set(params) - {"n", "p", "x", *_CAMPAIGN_PARAMS[command]}
+    if unknown:
+        raise InputError(f"unknown params for campaign {command}: {sorted(unknown)}")
+    if type(params.get("n")) is not int:
+        raise InputError(f"campaign params need an integer n, got {params.get('n')!r}")
+    required = _CAMPAIGN_REQUIRED.get(command)
+    if required and params.get(required) is None:
+        raise InputError(f"campaign {command} needs params.{required}")
+    spec = RandomGraphSpec(n=params["n"], p=params.get("p"), x=params.get("x"), seed=0)
+    return spec, {**_CAMPAIGN_PARAMS[command], **params}
+
+
 def _campaign_measurements(command: str, params: dict, trial_seed: int | None = None):
     """(columns, values) of one campaign trial.
 
     The measured-quantity columns are derivable without running any trial;
     the values, in column order, are None unless a trial seed is given.
     """
-    x = params.get("x")
+    spec, params = _campaign_plan(command, params)
     if command == "randomized":
         columns = ["success", "rounds_used", "set_size"]
 
         def measure(g: Graph) -> list:
-            spec = CandidateSpec(
-                r=float(params.get("r") or default_target_size(g.n, x)),
-                growth=float(params.get("growth", 2.0)),
-                max_rounds=int(params.get("max_rounds", 12)),
+            candidate = CandidateSpec(
+                r=float(params["r"] or default_target_size(g.n, spec.x)),
+                growth=float(params["growth"]),
+                max_rounds=int(params["max_rounds"]),
                 seed=trial_seed,
             )
-            result = construct_resolving(g, spec)
+            result = construct_resolving(g, candidate)
             return [
                 int(result.success),
                 result.rounds_used,
@@ -400,39 +423,33 @@ def _campaign_measurements(command: str, params: dict, trial_seed: int | None = 
 
         def measure(g: Graph) -> list:
             est = estimate_failure_rate(
-                g, float(params["r"]), int(params.get("trials_per_graph", 20)), trial_seed
+                g, float(params["r"]), int(params["trials_per_graph"]), trial_seed
             )
             return [est.rate, est.failures]
     elif command == "exact":
         columns = ["beta", "beta_ms_out", "beta_ms"]
 
         def measure(g: Graph) -> list:
-            result = exact_mod.dimension_report(g, budget=int(params.get("budget", 16)))
+            result = exact_mod.dimension_report(g, budget=int(params["budget"]))
             return [
                 result.metric_dim,
                 result.outer_multiset_dim,
                 "inf" if math.isinf(result.multiset_dim) else result.multiset_dim,
             ]
     elif command == "expansion":
-        regime_params = regime(int(params["n"]), float(x))
+        regime_params = regime(spec.n, float(spec.x))
         cells = [(level, s) for s in (1, 2) for level in range(regime_params.sparse_radius + 2)]
         columns = [f"max_dev_L{level}_s{s}" for level, s in cells]
 
         def measure(g: Graph) -> list:
-            report = audit_expansion(
-                g,
-                regime_params,
-                sample_size=int(params.get("samples", 50)),
-                seed=trial_seed,
-                multiplier=float(params.get("multiplier", 3.0)),
-            )
+            report = audit_expansion(g, regime_params, sample_size=int(params["samples"]),
+                                     seed=trial_seed, multiplier=float(params["multiplier"]))
             dev = {(cell.level, cell.source_size): cell.max_abs_deviation
                    for cell in report.levels}
             return [dev[cell] for cell in cells]
-    elif command == "census":
-        depth = params.get("k")
+    else:
+        depth = params["k"]
         if depth is None:
-            spec = RandomGraphSpec(n=int(params["n"]), p=params.get("p"), x=x, seed=0)
             # Expected (not measured) degree keeps the column set identical
             # across trials, a schema requirement.
             depth = max(predicted_diameter(spec.n, spec.expected_degree) - 1, 0)
@@ -440,16 +457,13 @@ def _campaign_measurements(command: str, params: dict, trial_seed: int | None = 
         columns.append("collision_forced")
 
         def measure(g: Graph) -> list:
-            size = int(params.get("set_size") or math.isqrt(g.n))
+            size = int(params["set_size"] or _census_size(g.n))
             report = typicality_census(g, draw_census_set(g, size, trial_seed), int(depth))
             fractions = [lvl.atypical_count / g.n for lvl in report.levels]
             return fractions + [int(report.collision_forced)]
-    else:
-        raise InputError(f"unknown campaign command {command!r}")
     if trial_seed is None:
         return columns, None
-    g = generate_gnp(RandomGraphSpec(n=params.get("n"), p=params.get("p"), x=x, seed=trial_seed))
-    return columns, measure(g)
+    return columns, measure(generate_gnp(dataclasses.replace(spec, seed=trial_seed)))
 
 
 def _campaign_trial(task: tuple) -> tuple[list | None, float]:

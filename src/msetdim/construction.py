@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .exponents import UPPER_BOUND_MAX_X, upper_bound_exponent
 from .graphs import Graph, _level_counts, distances_from, is_connected
 from .seeding import CANDIDATE, CENSUS_SET, FAILURE_TRIAL, substream
-from .signatures import KIND_MULTISET, _canonical_members, verify_resolving
+from .signatures import KIND_MULTISET, ResolvingVerdict, _canonical_members, verify_resolving
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,24 @@ def default_target_size(n: int, x: float | None = None) -> float:
     return math.sqrt(n)
 
 
-def _sample_members(g: Graph, r: float, seed: int, round_index: int) -> np.ndarray:
+def _sample_members(g: Graph, r: float, seed: int, purpose: int, index: int) -> np.ndarray:
     prob = min(r / g.n, 1.0)
-    rng = substream(seed, CANDIDATE, round_index)
+    rng = substream(seed, purpose, index)
     return np.flatnonzero(rng.random(g.n) < prob)
+
+
+def _verified_draws(
+    g: Graph, targets: Sequence[float], seed: int, purpose: int
+) -> Iterator[tuple[np.ndarray, ResolvingVerdict | None]]:
+    """(draw, multiset verdict) for the t-th target: a Bernoulli(target/n)
+    draw from substream (seed, purpose, t), with verdict None when the draw
+    is empty.  A draw equal to the last one verified reuses its verdict."""
+    last, verdict = np.empty(0, dtype=np.int64), None
+    for t, r in enumerate(targets):
+        members = _sample_members(g, r, seed, purpose, t)
+        if members.size and not np.array_equal(members, last):
+            last, verdict = members, verify_resolving(g, members, KIND_MULTISET)
+        yield members, verdict if members.size else None
 
 
 def sample_candidate(g: Graph, spec: CandidateSpec) -> np.ndarray:
@@ -70,7 +84,7 @@ def sample_candidate(g: Graph, spec: CandidateSpec) -> np.ndarray:
     """
     if spec.r > g.n:
         raise ValueError(f"target size {spec.r} exceeds n={g.n}")
-    return _sample_members(g, spec.r, spec.seed, 0)
+    return _sample_members(g, spec.r, spec.seed, CANDIDATE, 0)
 
 
 @dataclass(frozen=True)
@@ -130,31 +144,17 @@ def construct_resolving(g: Graph, spec: CandidateSpec) -> ConstructionResult:
     """
     if not is_connected(g):
         raise ValueError("construction requires a connected graph")
-    prev_members = np.empty(0, dtype=np.int64)
+    grown = [float(spec.r)]
+    for _ in range(spec.max_rounds - 1):
+        grown.append(grown[-1] * spec.growth)
+    targets = [min(r, float(g.n)) for r in grown]
     records: list[RoundRecord] = []
-    target = float(spec.r)
-    for t in range(spec.max_rounds):
-        r_t = min(target, float(g.n))
-        members = _sample_members(g, r_t, spec.seed, t)
-        if members.size == 0:
-            records.append(
-                RoundRecord(round=t, target=r_t, sample_size=0, resolving=False, witness=None)
-            )
-            target *= spec.growth
-            continue
-        if not np.array_equal(members, prev_members):
-            prev_members = members
-            verdict = verify_resolving(g, members, KIND_MULTISET)
-        records.append(
-            RoundRecord(
-                round=t,
-                target=r_t,
-                sample_size=int(members.size),
-                resolving=verdict.resolving,
-                witness=verdict.witness,
-            )
-        )
-        if verdict.resolving:
+    for t, (members, verdict) in enumerate(_verified_draws(g, targets, spec.seed, CANDIDATE)):
+        resolving = verdict is not None and verdict.resolving
+        witness = verdict.witness if verdict else None
+        records.append(RoundRecord(round=t, target=targets[t], sample_size=int(members.size),
+                                   resolving=resolving, witness=witness))
+        if resolving:
             confirm = verify_resolving(g, members, KIND_MULTISET, rows=distances_from(g, members))
             if not confirm.resolving:
                 raise RuntimeError(
@@ -165,7 +165,6 @@ def construct_resolving(g: Graph, spec: CandidateSpec) -> ConstructionResult:
                 resolving_set=tuple(int(v) for v in members),
                 rounds=tuple(records),
             )
-        target *= spec.growth
     return ConstructionResult(success=False, resolving_set=None, rounds=tuple(records))
 
 
@@ -192,20 +191,8 @@ def estimate_failure_rate(g: Graph, r: float, trials: int, seed: int) -> Failure
         raise ValueError("need at least one trial")
     if r < 0:
         raise ValueError("target size must be non-negative")
-    prev_members = np.empty(0, dtype=np.int64)
-    prob = min(r / g.n, 1.0)
-    failures = 0
-    for t in range(trials):
-        rng = substream(seed, FAILURE_TRIAL, t)
-        members = np.flatnonzero(rng.random(g.n) < prob)
-        if members.size == 0:
-            failures += 1
-            continue
-        if not np.array_equal(members, prev_members):
-            prev_members = members
-            verdict = verify_resolving(g, members, KIND_MULTISET)
-        if not verdict.resolving:
-            failures += 1
+    draws = _verified_draws(g, [r] * trials, seed, FAILURE_TRIAL)
+    failures = sum(verdict is None or not verdict.resolving for _, verdict in draws)
     return FailureRateResult(trials=trials, failures=failures)
 
 
@@ -260,8 +247,6 @@ def typicality_census(g: Graph, R: Sequence[int], k: int) -> TypicalityReport:
     and their product bounds the signatures available to typical vertices.
     """
     members = list(_canonical_members(g, R))
-    if not is_connected(g):
-        raise ValueError("census requires a connected graph")
     n = g.n
     r_size = len(members)
 
@@ -269,12 +254,13 @@ def typicality_census(g: Graph, R: Sequence[int], k: int) -> TypicalityReport:
     # sensors within distance i), which stay at |R| past R's deepest level;
     # sensor rows serve only pairs_by_sensor, the incidence count's other side.
     counts = _level_counts(g, range(n))
+    if counts[:, -1].any():
+        raise ValueError("census requires a connected graph")
     diam = counts.shape[1] - 2
     if k > diam:
         raise ValueError(f"k={k} exceeds diameter {diam}")
     ball = np.cumsum(counts[:, : k + 1], axis=1).T
-    sensor_cum = np.cumsum(_level_counts(g, members), axis=1)
-    ball_r = sensor_cum[:, np.minimum(np.arange(k + 1), sensor_cum.shape[1] - 1)].T
+    ball_r = np.cumsum(_level_counts(g, members, k + 1)[:, : k + 1], axis=1).T
     sensor_rows = distances_from(g, members)
 
     factor = 2.0 * (k + 1) * r_size / n

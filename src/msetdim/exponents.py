@@ -38,6 +38,9 @@ UPPER_BOUND_LEVEL = 4
 LOWER_BOUND_MAX_X = Fraction(1, 2)
 UPPER_BOUND_MAX_X = Fraction(1, 8)
 
+# threshold_curves samples 1/k + JUMP_OFFSET beside each reciprocal 1/k.
+JUMP_OFFSET = 1e-6
+
 
 class NoRootError(ValueError):
     """The requested level is not attained on (0, 1]."""
@@ -182,30 +185,28 @@ def solve_exponent_level(x: Scalar, level: Scalar, tol: float = 1e-12) -> Scalar
     return root
 
 
-def lower_bound_exponent(x: Scalar, tol: float = 1e-12) -> Scalar:
+def _threshold_exponent(x: Scalar, level: int, max_x: Fraction) -> Scalar:
+    """Root of exponent_sum(x, y) = level, defined for 0 < x <= max_x."""
+    limit = max_x + (0 if _is_exact(x) else RECIPROCAL_GUARD)
+    if not 0 < x <= limit:
+        raise ThresholdUndefinedError(f"threshold undefined: need 0 < x <= {max_x}, got x={x}")
+    return solve_exponent_level(x, level)
+
+
+def lower_bound_exponent(x: Scalar) -> Scalar:
     """Set-size exponent below which counting forces a signature collision.
 
     Defined for 0 < x <= 1/2 as the unique root of exponent_sum(x, y) = 1.
     """
-    limit = LOWER_BOUND_MAX_X + (0 if _is_exact(x) else RECIPROCAL_GUARD)
-    if not 0 < x <= limit:
-        raise ThresholdUndefinedError(
-            f"threshold undefined: need 0 < x <= 1/2, got x={x}"
-        )
-    return solve_exponent_level(x, LOWER_BOUND_LEVEL, tol)
+    return _threshold_exponent(x, LOWER_BOUND_LEVEL, LOWER_BOUND_MAX_X)
 
 
-def upper_bound_exponent(x: Scalar, tol: float = 1e-12) -> Scalar:
+def upper_bound_exponent(x: Scalar) -> Scalar:
     """Set-size exponent at which random sensor sets distinguish all pairs.
 
     Defined for 0 < x <= 1/8 as the unique root of exponent_sum(x, y) = 4.
     """
-    limit = UPPER_BOUND_MAX_X + (0 if _is_exact(x) else RECIPROCAL_GUARD)
-    if not 0 < x <= limit:
-        raise ThresholdUndefinedError(
-            f"threshold undefined: need 0 < x <= 1/8, got x={x}"
-        )
-    return solve_exponent_level(x, UPPER_BOUND_LEVEL, tol)
+    return _threshold_exponent(x, UPPER_BOUND_LEVEL, UPPER_BOUND_MAX_X)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +309,6 @@ def threshold_curves(
     levels: tuple[int, ...] = (LOWER_BOUND_LEVEL, UPPER_BOUND_LEVEL),
     points: int = 1000,
     x_min: Scalar | None = None,
-    jump_offset: Scalar = 1e-6,
     tol: float = 1e-12,
     rational: bool = False,
 ) -> list[ThresholdCurve]:
@@ -316,23 +316,22 @@ def threshold_curves(
 
     The grid contains, for every integer k with 1/k interior to the domain
     and resolvable at the grid's spacing (1/k - 1/(k+1) at least one step),
-    both 1/k and 1/k + jump_offset, so the zig-zag discontinuities at
+    both 1/k and 1/k + JUMP_OFFSET, so the zig-zag discontinuities at
     reciprocals of integers show up as one-sided evaluation gaps.
     """
     if points < 2:
         raise ValueError("need at least 2 grid points")
     curves = []
+    off: Scalar = Fraction(JUMP_OFFSET) if rational else JUMP_OFFSET
     for level in levels:
         x_max = curve_domain_max(level)
         if rational:
             hi: Scalar = x_max
             lo: Scalar = Fraction(x_min) if x_min is not None else hi / points
-            off: Scalar = Fraction(jump_offset) if not isinstance(jump_offset, Fraction) else jump_offset
             grid = [lo + (hi - lo) * j / (points - 1) for j in range(points)]
         else:
             hi = float(x_max)
             lo = float(x_min) if x_min is not None else hi / points
-            off = float(jump_offset)
             grid = [float(v) for v in np.linspace(lo, hi, points)]
         if not 0 < lo < hi:
             raise ValueError(f"x_min must lie in (0, {hi}) for level {level}")

@@ -105,10 +105,6 @@ class Graph:
         self._check_vertex(v)
         return self._indices[self._indptr[v] : self._indptr[v + 1]]
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return int(self._indptr[v + 1] - self._indptr[v])
-
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
@@ -279,13 +275,26 @@ def _source_blocks(g: Graph, probes: Sequence[int]) -> Iterator[np.ndarray]:
         yield src[start : start + BLOCK]
 
 
-def _level_counts(g: Graph, sources: Sequence[int]) -> np.ndarray:
-    """(n, L+2) int64 histograms, L the largest finite distance from a source:
-    column d counts the sources at distance d, the last those in other
-    components.  Equals _count_matrix(distances_from(g, sources), L+1), but
-    sums the popcounts of the level-d frontier words into column d, so no
-    distance row is written and memory is O(n * L) plus one block."""
-    columns: list[np.ndarray] = []
+def _count_matrix(rows: np.ndarray, length: int) -> np.ndarray:
+    """(n, length+1) per-vertex histograms of distance rows: column d counts
+    the rows at distance d, the last column those UNREACHABLE.  The flat
+    bincount index is built in place in one int64 copy of `rows`."""
+    _, n = rows.shape
+    flat = rows.astype(np.int64)
+    flat[rows < 0] = length
+    flat += np.arange(n, dtype=np.int64) * (length + 1)
+    counts = np.bincount(flat.ravel(), minlength=n * (length + 1))
+    return counts.reshape(n, length + 1)
+
+
+def _level_counts(g: Graph, sources: Sequence[int], width: int = 0) -> np.ndarray:
+    """(n, max(L+1, width) + 1) int64 histograms, L the largest finite
+    distance from a source: column d counts the sources at distance d, the
+    last those in other components.  Equals _count_matrix(distances_from(g,
+    sources), max(L+1, width)), but sums the popcounts of the level-d frontier
+    words into column d, so no distance row is written and memory is
+    O(n * L) plus one block."""
+    columns = [np.zeros(g.n, dtype=np.int64) for _ in range(width)]
     for src in _source_blocks(g, sources):
         for level, frontier in enumerate(_bfs_levels(g, src)):
             if level == len(columns):
@@ -339,21 +348,19 @@ def diameter(g: Graph) -> int | float:
     return best
 
 
-def predicted_diameter(n: int, d: float, slack: float = 0.0) -> int:
+def predicted_diameter(n: int, d: float) -> int:
     """Heuristic diameter for a random graph with n vertices, average degree d.
 
-    Returns the smallest i >= 1 with d**i >= n * (2*log10(n) + slack); the
-    boundary is inclusive.  The decimal-log threshold is a fixed desk-scale
-    convention for the asymptotic requirement that d**i outgrow n by a
-    logarithmic factor.
+    Returns the smallest i >= 1 with d**i >= n * 2*log10(n); the boundary is
+    inclusive.  The decimal-log threshold is a fixed desk-scale convention
+    for the asymptotic requirement that d**i outgrow n by a logarithmic
+    factor.
     """
     if d <= 1:
         raise ValueError(f"average degree must exceed 1, got {d}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if slack < 0:
-        raise ValueError(f"slack must be non-negative, got {slack}")
-    threshold = n * (2.0 * math.log10(n) + slack)
+    threshold = n * (2.0 * math.log10(n))
     i = max(1, math.ceil(math.log(threshold) / math.log(d)))
     while i > 1 and d ** (i - 1) >= threshold:
         i -= 1

@@ -9,12 +9,13 @@ multiset resolving sensor set pins the source uniquely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, _level_counts, bfs_distances, diameter, is_connected
+from .graphs import Graph, _level_counts, bfs_distances, diameter
 from .signatures import _canonical_members
 
 
@@ -67,18 +68,17 @@ class LocalizationIndex:
     """
 
     def __init__(self, g: Graph, R: Sequence[int]):
-        if not is_connected(g):
+        horizon = diameter(g)
+        if math.isinf(horizon):
             raise ValueError("localization requires a connected graph")
         self.graph = g
         self.members = _canonical_members(g, R)
-        self.horizon = int(diameter(g))
+        self.horizon = int(horizon)
         # connected, so the unreachable column is all zeros and dropped
-        counts = _level_counts(g, self.members)[:, :-1]
-        matrix = np.pad(counts, ((0, 0), (0, self.horizon + 1 - counts.shape[1])))
-        self._profiles = matrix
+        self._profiles = _level_counts(g, self.members, self.horizon + 1)[:, :-1]
         buckets: dict[bytes, list[int]] = {}
         for v in range(g.n):
-            buckets.setdefault(matrix[v].tobytes(), []).append(v)
+            buckets.setdefault(self._profiles[v].tobytes(), []).append(v)
         self._buckets = buckets
 
     def observation(self, v0: int) -> Observation:

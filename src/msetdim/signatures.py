@@ -20,6 +20,7 @@ import numpy as np
 from .graphs import (
     Graph,
     _block_depths,
+    _count_matrix,
     _level_counts,
     bfs_distances,
     distances_from,
@@ -45,9 +46,6 @@ class MultisetSignature:
     @property
     def total(self) -> int:
         return sum(self.counts) + self.unreachable
-
-    def as_vector(self) -> tuple[int, ...]:
-        return self.counts + ((self.unreachable,) if self.unreachable else ())
 
 
 @dataclass(frozen=True)
@@ -102,80 +100,45 @@ def _signature_length(g: Graph) -> int:
     return max(depth for depth, _ in _block_depths(g)) + 1
 
 
-def _count_matrix(rows: np.ndarray, length: int) -> np.ndarray:
-    """(n, length+1) per-vertex distance histograms; last column = unreachable.
-    The flat bincount index is built in place in one int64 copy of `rows`."""
-    _, n = rows.shape
-    flat = rows.astype(np.int64)
-    flat[rows < 0] = length
-    flat += np.arange(n, dtype=np.int64) * (length + 1)
-    counts = np.bincount(flat.ravel(), minlength=n * (length + 1))
-    return counts.reshape(n, length + 1)
-
-
 def multiset_signature(
-    g: Graph,
-    R: Sequence[int],
-    v: int,
-    rows: np.ndarray | None = None,
-    length: int | None = None,
+    g: Graph, R: Sequence[int], v: int, length: int | None = None
 ) -> MultisetSignature:
-    """Multiset signature of v with respect to R.
+    """Multiset signature of v with respect to R, from one BFS from v.
 
-    Pass `rows` (the output of distances_from(g, R)) and `length` to amortize
-    repeated queries; otherwise one BFS from v suffices and the finite length
-    defaults to diam(G) + 1.
+    The finite length defaults to diam(G) + 1; pass `length` to amortize
+    repeated queries.
     """
     members = _canonical_members(g, R)
     g._check_vertex(v)
-    if rows is not None:
-        dists = rows[:, v]
-    else:
-        from_v = bfs_distances(g, [v])
-        dists = from_v[list(members)]
+    dists = bfs_distances(g, [v])[list(members)]
     if length is None:
         length = _signature_length(g)
-    finite = dists[dists >= 0]
-    if finite.size and int(finite.max()) >= length:
-        raise ValueError(f"signature length {length} too short for distance {int(finite.max())}")
-    counts = np.bincount(finite, minlength=length)
-    return MultisetSignature(
-        counts=tuple(int(c) for c in counts),
-        unreachable=int((dists < 0).sum()),
-    )
+    top = int(dists.max())
+    if top >= length:
+        raise ValueError(f"signature length {length} too short for distance {top}")
+    *counts, unreachable = _count_matrix(dists[:, None], length)[0].tolist()
+    return MultisetSignature(counts=tuple(counts), unreachable=unreachable)
 
 
-def metric_signature(
-    g: Graph, R: Sequence[int], v: int, rows: np.ndarray | None = None
-) -> MetricSignature:
+def metric_signature(g: Graph, R: Sequence[int], v: int) -> MetricSignature:
     """Distance vector from v to R, indexed by R's given order."""
     members = _canonical_members(g, R)
     g._check_vertex(v)
-    if rows is not None:
-        dists = rows[:, v]
-    else:
-        from_v = bfs_distances(g, [v])
-        dists = from_v[list(members)]
+    dists = bfs_distances(g, [v])[list(members)]
     return MetricSignature(
         order=members,
         dists=tuple(math.inf if d < 0 else float(d) for d in dists),
     )
 
 
-def all_multiset_signatures(
-    g: Graph,
-    R: Sequence[int],
-    rows: np.ndarray | None = None,
-    length: int | None = None,
-) -> tuple[np.ndarray, int]:
-    """Histogram matrix for every vertex: shape (n, length+1), last column
-    counts unreachable sensors.  Returns (matrix, length)."""
+def all_multiset_signatures(g: Graph, R: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Histogram matrix for every vertex: shape (n, length+1), length the
+    largest finite distance + 1, last column counts unreachable sensors.
+    Counted per BFS level, so no distance row is written.  Returns (matrix,
+    length)."""
     members = _canonical_members(g, R)
-    if rows is None:
-        rows = distances_from(g, members)
-    if length is None:
-        length = _signature_length(g)
-    return _count_matrix(rows, length), length
+    length = _signature_length(g)
+    return _level_counts(g, members, length), length
 
 
 def _first_collision(keys: "list[bytes] | list[tuple]", skip: set[int]) -> tuple[int, int] | None:

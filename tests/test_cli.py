@@ -356,6 +356,40 @@ class TestCampaign:
         assert {r[4] for r in rows} <= {"0", "1"}
         assert any(r[4] == "0" for r in rows)  # seed 4 plan has disconnected draws
 
+    @pytest.mark.parametrize(
+        "command,params",
+        [
+            ("randomized", {"n": 100, "x": 0.5, "max_round": 1}),
+            ("randomized", {"x": 0.5}),
+            ("randomized", {"n": "100", "x": 0.5}),
+            ("failure-rate", {"n": 100, "x": 0.5}),
+            ("expansion", {"n": 100, "p": 0.1}),
+            ("randomized", {"n": 100, "p": 2}),
+        ],
+        ids=["unknown-key", "no-n", "string-n", "no-r", "no-x", "bad-p"],
+    )
+    def test_bad_params_rejected_before_any_trial(self, tmp_path, command, params):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"command": command, "trials": 2, "seed": 1, "params": params}))
+        out = tmp_path / "camp.csv"
+        res = run_cli("campaign", str(path), "--out", str(out))
+        assert res.returncode == 3
+        assert res.stderr.startswith("input error:")
+        assert not out.exists()
+
+    def test_census_default_set_size_is_ceil_sqrt(self, tmp_path):
+        tables = []
+        for extra in ({}, {"set_size": 18}):
+            plan = {"command": "census", "trials": 2, "seed": 3,
+                    "params": {"n": 300, "x": 0.5, **extra}}
+            path = tmp_path / "plan.json"
+            path.write_text(json.dumps(plan))
+            out = tmp_path / "camp.csv"
+            assert run_cli("campaign", str(path), "--out", str(out)).returncode == 0
+            _, header, rows = read_csv(str(out))
+            tables.append((header, rows))
+        assert tables[0] == tables[1]
+
     def test_budget_error_still_aborts(self, tmp_path):
         plan = {
             "command": "exact",

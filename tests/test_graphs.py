@@ -35,8 +35,8 @@ from msetdim import (
     typicality_census,
     write_edge_list,
 )
-from msetdim.graphs import BLOCK, _bfs_block, _level_counts
-from msetdim.signatures import _count_matrix, _signature_length
+from msetdim.graphs import BLOCK, _bfs_block, _count_matrix, _level_counts
+from msetdim.signatures import _signature_length
 from msetdim.seeding import AUDIT_PAIRS, AUDIT_SINGLES, substream
 
 from .conftest import floyd_warshall, random_graph, scipy_distance_rows, small_graphs
@@ -217,6 +217,10 @@ class TestBfsKernel:
         assert counts.dtype == np.int64 and counts.shape == (g.n, top + 2)
         assert np.array_equal(counts, expect)
         assert np.array_equal(counts, _count_matrix(distances_from(g, sources), top + 1))
+        for width in (0, top, top + 1, top + 2, top + 5):
+            padded = _level_counts(g, sources, width)
+            wide = _count_matrix(distances_from(g, sources), max(top + 1, width))
+            assert padded.dtype == np.int64 and np.array_equal(padded, wide)
 
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)

@@ -185,3 +185,20 @@ def test_bulk_signatures_match_single(rng):
             sig = multiset_signature(g, members, v, length=length)
             assert tuple(matrix[v, :length].tolist()) == sig.counts
             assert int(matrix[v, length]) == sig.unreachable
+
+
+def test_bulk_signatures_write_no_rows(monkeypatch):
+    import msetdim.graphs as graphs
+
+    calls = []
+    block = graphs._bfs_block
+
+    def spy(g, src):
+        calls.append(src.tolist())
+        return block(g, src)
+
+    monkeypatch.setattr(graphs, "_bfs_block", spy)
+    matrix, length = all_multiset_signatures(cycle_graph(200), range(0, 200, 2))
+    assert length == 101 and matrix.shape == (200, 102)
+    assert (matrix.sum(axis=1) == 100).all()
+    assert calls == []
