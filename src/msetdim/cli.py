@@ -366,33 +366,61 @@ def cmd_census(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Plan params each campaign command reads, with their defaults.  Every plan
-# also gives an integer n and one of p or x; _CAMPAIGN_REQUIRED names the
-# params a command cannot run without.
-_CAMPAIGN_PARAMS: dict[str, dict] = {
-    "randomized": {"r": None, "growth": 2.0, "max_rounds": 12},
-    "failure-rate": {"r": None, "trials_per_graph": 20},
-    "exact": {"budget": exact_mod.DEFAULT_BUDGET},
-    "expansion": {"samples": 50, "multiplier": 3.0},
-    "census": {"set_size": None, "k": None},
+# Plan params each campaign command reads: (default, kind, low, strict).  A
+# given value must be a JSON integer (kind int) or number (kind float) above
+# low, or at least low unless strict.  Every plan also gives the graph params
+# n and one of p or x, whose upper ranges RandomGraphSpec checks;
+# _CAMPAIGN_REQUIRED names the params a command cannot run without.
+_GRAPH_PARAMS: dict[str, tuple] = {
+    "n": (None, int, 1, False),
+    "p": (None, float, 0, False),
+    "x": (None, float, 0, True),
+}
+_CAMPAIGN_PARAMS: dict[str, dict[str, tuple]] = {
+    "randomized": {"r": (None, float, 0, True), "growth": (2.0, float, 1, True),
+                   "max_rounds": (12, int, 1, False)},
+    "failure-rate": {"r": (None, float, 0, False), "trials_per_graph": (20, int, 1, False)},
+    "exact": {"budget": (exact_mod.DEFAULT_BUDGET, int, 1, False)},
+    "expansion": {"samples": (50, int, 1, False), "multiplier": (3.0, float, 0, True)},
+    "census": {"set_size": (None, int, 1, False), "k": (None, int, 0, False)},
 }
 _CAMPAIGN_REQUIRED = {"failure-rate": "r", "expansion": "x"}
 
 
+def _check_param(command: str, name: str, value, kind: type, low: int, strict: bool) -> None:
+    """Raise InputError unless value is of the kind and above low (at least
+    low unless strict); JSON booleans are no numbers."""
+    types = int if kind is int else (int, float)
+    if isinstance(value, types) and not isinstance(value, bool):
+        if value > low if strict else value >= low:
+            return
+    rule = f"{'an integer' if kind is int else 'a number'} {'>' if strict else '>='} {low}"
+    raise InputError(f"campaign {command}: params.{name} must be {rule}, got {value!r}")
+
+
 def _campaign_plan(command: str, params: dict) -> tuple[RandomGraphSpec, dict]:
-    """The plan's graph (seed 0) and its params over the command's defaults."""
+    """The plan's graph (seed 0) and its params over the command's defaults,
+    every given param checked against its rule before any trial runs."""
     if command not in _CAMPAIGN_PARAMS:
         raise InputError(f"unknown campaign command {command!r}")
-    unknown = set(params) - {"n", "p", "x", *_CAMPAIGN_PARAMS[command]}
+    rules = {**_GRAPH_PARAMS, **_CAMPAIGN_PARAMS[command]}
+    unknown = set(params) - set(rules)
     if unknown:
         raise InputError(f"unknown params for campaign {command}: {sorted(unknown)}")
-    if type(params.get("n")) is not int:
-        raise InputError(f"campaign params need an integer n, got {params.get('n')!r}")
-    required = _CAMPAIGN_REQUIRED.get(command)
-    if required and params.get(required) is None:
-        raise InputError(f"campaign {command} needs params.{required}")
-    spec = RandomGraphSpec(n=params["n"], p=params.get("p"), x=params.get("x"), seed=0)
-    return spec, {**_CAMPAIGN_PARAMS[command], **params}
+    for name in ("n", _CAMPAIGN_REQUIRED.get(command)):
+        if name and params.get(name) is None:
+            raise InputError(f"campaign {command} needs params.{name}")
+    for name, value in params.items():
+        if value is not None:
+            _check_param(command, name, value, *rules[name][1:])
+    try:
+        spec = RandomGraphSpec(n=params["n"], p=params.get("p"), x=params.get("x"), seed=0)
+    except ValueError as exc:
+        raise InputError(f"campaign {command}: {exc}") from None
+    if (params.get("set_size") or 0) > spec.n:
+        raise InputError(f"campaign {command}: params.set_size exceeds n={spec.n}")
+    defaults = {name: rule[0] for name, rule in _CAMPAIGN_PARAMS[command].items()}
+    return spec, {**defaults, **params}
 
 
 def _campaign_measurements(command: str, params: dict, trial_seed: int | None = None):

@@ -136,11 +136,12 @@ def construct_resolving(g: Graph, spec: CandidateSpec) -> ConstructionResult:
     """Sample, verify, grow until a multiset resolving set is found.
 
     Rounds count each vertex's sensors per BFS level and hold O(n * diam)
-    counts, never a distance row; a round that redraws the last verified set
-    (every round once r reaches n) reuses its verdict.  A set the loop
-    accepts is re-verified from its distance rows, a separate path, before
-    being reported.  Failure after max_rounds carries the last collision
-    witness.
+    counts, never a distance row; once their BFS blocks add up to a full
+    sweep, they read the graph's level table (see graphs._frontier_blocks).
+    A round that redraws the last verified set (every round once r reaches
+    n) reuses its verdict.  A set the loop accepts is re-verified from its
+    distance rows, a separate path, before being reported.  Failure after
+    max_rounds carries the last collision witness.
     """
     if not is_connected(g):
         raise ValueError("construction requires a connected graph")
@@ -252,7 +253,8 @@ def typicality_census(g: Graph, R: Sequence[int], k: int) -> TypicalityReport:
 
     # Prefix sums of the level counts from V (from R) are the ball sizes (the
     # sensors within distance i), which stay at |R| past R's deepest level;
-    # sensor rows serve only pairs_by_sensor, the incidence count's other side.
+    # both read the level table that the count from V sweeps, if it fits.
+    # Sensor rows serve only pairs_by_sensor, the incidence count's other side.
     counts = _level_counts(g, range(n))
     if counts[:, -1].any():
         raise ValueError("census requires a connected graph")

@@ -8,6 +8,7 @@ components; no operation ever substitutes a large finite number.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -21,6 +22,11 @@ UNREACHABLE = -1
 # Sources per BFS kernel call: each vertex keeps one bit per source in a
 # single uint64 word.
 BLOCK = 64
+
+# Bytes an all-sources level table may take; graphs whose table would be
+# larger stream their BFS blocks.  ceil(n/64) blocks of depth+1 levels of n
+# uint64 words fit up to n of about 9000 at depth 6.
+TABLE_BYTES = 64 << 20
 
 
 class GraphFormatError(ValueError):
@@ -138,21 +144,21 @@ def bfs_distances(g: Graph, sources: Sequence[int]) -> np.ndarray:
     indptr, indices = g._indptr, g._indices
     dist = np.full(g.n, UNREACHABLE, dtype=np.int32)
     dist[src] = 0
+    # slot[v] is one position of v among the level's new neighbors, written
+    # and read for those alone, so each level costs its edges and not n
+    slot = np.empty(g.n, dtype=np.int64)
     frontier = src
     level = 0
     while frontier.size:
         starts = indptr[frontier]
         ends = indptr[frontier + 1]
         lens = ends - starts
-        total = int(lens.sum())
-        if total == 0:
-            break
-        gather = np.repeat(ends - np.cumsum(lens), lens) + np.arange(total)
+        gather = np.repeat(ends - np.cumsum(lens), lens) + np.arange(int(lens.sum()))
         nbrs = indices[gather]
-        nbrs = nbrs[dist[nbrs] < 0]
-        if nbrs.size == 0:
-            break
-        frontier = np.unique(nbrs)
+        nbrs = nbrs[dist[nbrs] == UNREACHABLE]
+        at = np.arange(nbrs.size)
+        slot[nbrs] = at
+        frontier = nbrs[slot[nbrs] == at]
         level += 1
         dist[frontier] = level
     return dist
@@ -266,13 +272,95 @@ def _bfs_block(g: Graph, src: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _source_blocks(g: Graph, probes: Sequence[int]) -> Iterator[np.ndarray]:
-    """Consecutive slices of at most BLOCK probes, all range-checked first."""
+def _probes(g: Graph, probes: Sequence[int]) -> np.ndarray:
+    """The probes as an int64 array, repeats allowed, all range-checked."""
     src = np.asarray(probes, dtype=np.int64).reshape(-1)
     if src.size and (src.min() < 0 or src.max() >= g.n):
         raise ValueError("source vertex out of range")
+    return src
+
+
+def _source_blocks(g: Graph, probes: Sequence[int]) -> Iterator[np.ndarray]:
+    """Consecutive slices of at most BLOCK probes, all range-checked first."""
+    src = _probes(g, probes)
     for start in range(0, src.size, BLOCK):
         yield src[start : start + BLOCK]
+
+
+# Per graph, its level table once swept (None when it keeps none), and the
+# BFS blocks streamed for it before that.  Keyed by identity and dropped with
+# the graph; a pickled graph leaves both behind.
+_TABLES: "weakref.WeakKeyDictionary[Graph, tuple | None]" = weakref.WeakKeyDictionary()
+_STREAMED: "weakref.WeakKeyDictionary[Graph, int]" = weakref.WeakKeyDictionary()
+
+
+def _level_table(g: Graph) -> tuple[tuple[np.ndarray, ...], ...] | None:
+    """The frontier words of the all-sources BFS, swept once per graph:
+    entry [b][d] is the read-only level-d word array of the block of sources
+    BLOCK*b onwards, for d up to that block's own depth.  None when the
+    words would exceed TABLE_BYTES; callers then stream their blocks."""
+    if g not in _TABLES:
+        _TABLES[g] = _sweep_levels(g)
+    return _TABLES[g]
+
+
+def _sweep_levels(g: Graph) -> tuple[tuple[np.ndarray, ...], ...] | None:
+    """The level table, or None as soon as the words swept so far, scaled
+    to all blocks, pass TABLE_BYTES (so a graph too deep for the bound gives
+    up within its first block).  Holds nothing but the table and the BFS's
+    own working words."""
+    n = g.n
+    blocks = -(-n // BLOCK)
+    table: list[tuple[np.ndarray, ...]] = []
+    words = 0
+    for b, src in enumerate(_source_blocks(g, range(n))):
+        levels = []
+        for frontier in _bfs_levels(g, src):
+            frontier.setflags(write=False)
+            levels.append(frontier)
+            if 8 * (words + n * len(levels)) * blocks > TABLE_BYTES * (b + 1):
+                return None
+        words += n * len(levels)
+        table.append(tuple(levels))
+    return tuple(table)
+
+
+def _frontier_blocks(
+    g: Graph, sources: Sequence[int]
+) -> Iterator[tuple[Iterable[np.ndarray], np.uint64]]:
+    """(level words, member mask) per block of sources.
+
+    The one place that decides between the level table and streaming, by
+    rent-or-buy: the graph's table is swept once the BFS blocks streamed for
+    it, this call's included, reach the ceil(n/BLOCK) blocks of the sweep, so
+    any sequence of calls runs at most about twice the blocks of the cheaper
+    of never and always sweeping.  An all-sources call sweeps at once; a
+    lone small one streams.
+
+    Streaming, each BLOCK consecutive sources get a fresh BFS and the mask
+    of their bits.  From the table, a block is the sweep's block of the
+    sources it holds, masked to their bits; a source listed k times is
+    masked in k passes, so repeats count as in the BFS path.
+    """
+    src = _probes(g, sources)
+    streamed = _STREAMED.get(g, 0) + -(-src.size // BLOCK)
+    if g in _TABLES or streamed >= -(-g.n // BLOCK):
+        table = _level_table(g)
+    else:
+        _STREAMED[g] = streamed
+        table = None
+    if table is None:
+        for start in range(0, src.size, BLOCK):
+            block = src[start : start + BLOCK]
+            yield _bfs_levels(g, block), np.uint64((1 << block.size) - 1)
+        return
+    vertices, repeats = np.unique(src, return_counts=True)
+    for k in range(int(repeats.max(initial=0))):
+        chosen = vertices[repeats > k]
+        masks = np.zeros(len(table), dtype=np.uint64)
+        np.bitwise_or.at(masks, chosen // BLOCK, np.uint64(1) << (chosen % BLOCK).astype(np.uint64))
+        for b in np.flatnonzero(masks):
+            yield table[b], masks[b]
 
 
 def _count_matrix(rows: np.ndarray, length: int) -> np.ndarray:
@@ -291,25 +379,28 @@ def _level_counts(g: Graph, sources: Sequence[int], width: int = 0) -> np.ndarra
     """(n, max(L+1, width) + 1) int64 histograms, L the largest finite
     distance from a source: column d counts the sources at distance d, the
     last those in other components.  Equals _count_matrix(distances_from(g,
-    sources), max(L+1, width)), but sums the popcounts of the level-d frontier
-    words into column d, so no distance row is written and memory is
-    O(n * L) plus one block."""
+    sources), max(L+1, width)), but adds the popcounts of the sources' bits
+    in the level-d frontier words into column d, so no distance row is
+    written.  The words come from the graph's level table or from a fresh
+    BFS per BLOCK sources, as _frontier_blocks decides; memory is O(n * L)
+    on top of the table or one block."""
     columns = [np.zeros(g.n, dtype=np.int64) for _ in range(width)]
-    for src in _source_blocks(g, sources):
-        for level, frontier in enumerate(_bfs_levels(g, src)):
+    for levels, mask in _frontier_blocks(g, sources):
+        for level, frontier in enumerate(levels):
             if level == len(columns):
                 columns.append(np.zeros(g.n, dtype=np.int64))
-            columns[level] += np.bitwise_count(frontier)
+            columns[level] += np.bitwise_count(frontier & mask)
+    # a table block runs to the depth of all its sources: drop levels past L
+    while len(columns) > width and not columns[-1].any():
+        columns.pop()
     return np.column_stack(columns + [len(sources) - sum(columns)])
 
 
-def _block_depths(g: Graph) -> Iterator[tuple[int, bool]]:
-    """(deepest level, whether each source reaches all) per all-sources block."""
-    for src in _source_blocks(g, range(g.n)):
-        reached = np.zeros(g.n, dtype=np.uint64)
-        for depth, frontier in enumerate(_bfs_levels(g, src)):
-            reached |= frontier
-        yield depth, bool(np.all(reached == np.uint64((1 << src.size) - 1)))
+def _deepest_level(g: Graph) -> int:
+    """The largest finite distance between two vertices: the depth of the
+    deepest all-sources block, read from the level table when the graph
+    keeps one (an all-sources call sweeps it)."""
+    return max(sum(1 for _ in levels) for levels, _ in _frontier_blocks(g, range(g.n))) - 1
 
 
 def distances_from(g: Graph, probes: Sequence[int]) -> np.ndarray:
@@ -337,15 +428,13 @@ def is_connected(g: Graph) -> bool:
 def diameter(g: Graph) -> int | float:
     """Exact diameter; math.inf when the graph is disconnected.
 
-    Counts the BFS levels of each all-sources block and writes no distance
-    row; the first block already shows whether the graph is connected.
+    One single-source BFS settles connectivity first, so a disconnected
+    graph costs no all-sources sweep; a connected one counts the levels of
+    each all-sources block and writes no distance row.
     """
-    best = 0
-    for depth, full in _block_depths(g):
-        if not full:
-            return math.inf
-        best = max(best, depth)
-    return best
+    if not is_connected(g):
+        return math.inf
+    return _deepest_level(g)
 
 
 def predicted_diameter(n: int, d: float) -> int:

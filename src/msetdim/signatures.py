@@ -19,8 +19,8 @@ import numpy as np
 
 from .graphs import (
     Graph,
-    _block_depths,
     _count_matrix,
+    _deepest_level,
     _level_counts,
     bfs_distances,
     distances_from,
@@ -97,7 +97,7 @@ def _signature_length(g: Graph) -> int:
 
     On disconnected graphs the unreachable coordinate is carried separately.
     """
-    return max(depth for depth, _ in _block_depths(g)) + 1
+    return _deepest_level(g) + 1
 
 
 def multiset_signature(
@@ -141,21 +141,37 @@ def all_multiset_signatures(g: Graph, R: Sequence[int]) -> tuple[np.ndarray, int
     return _level_counts(g, members, length), length
 
 
-def _first_collision(keys: "list[bytes] | list[tuple]", skip: set[int]) -> tuple[int, int] | None:
-    seen: dict = {}
-    for v, key in enumerate(keys):
-        if v in skip:
-            continue
-        if key in seen:
-            return seen[key], v
-        seen[key] = v
-    return None
+def _first_collision(keys: np.ndarray, skip: Sequence[int]) -> tuple[int, int] | None:
+    """The first pair u < v of vertices outside `skip` whose rows of the
+    non-negative (n, c) `keys` are equal, in ascending order of v; None when
+    all differ.  Each row is packed into exact int64 words, 63 bits at most,
+    and one stable sort of the words puts equal rows in runs of ascending
+    vertex.  The least vertex that does not start its run is v, and it
+    comes second in its run, right after u."""
+    keep = np.ones(keys.shape[0], dtype=bool)
+    keep[list(skip)] = False
+    vertices = np.flatnonzero(keep)
+    bits = max(int(keys.max(initial=0)), 1).bit_length()
+    per_word = 63 // bits
+    weights = np.int64(1) << np.int64(bits) * (np.arange(keys.shape[1]) % per_word)
+    words = [
+        keys[vertices, lo : lo + per_word] @ weights[lo : lo + per_word]
+        for lo in range(0, keys.shape[1], per_word)
+    ]
+    order = np.lexsort(words)
+    packed = np.stack(words, axis=1)[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (packed[1:] != packed[:-1]).any(axis=1)
+    if starts.all():
+        return None
+    at = int(np.argmin(np.where(starts, order.size, order)))
+    return int(vertices[order[at - 1]]), int(vertices[order[at]])
 
 
 def _recheck_pair(g: Graph, members: tuple[int, ...], kind: str, u: int, v: int) -> tuple:
     """Recompute the two witness signatures straight from fresh BFS runs.
 
-    Guards the hashed scan: the collision must survive direct comparison.
+    Guards the sorted scan: the collision must survive direct comparison.
     Returns the shared signature as a plain tuple.
     """
     member_list = list(members)
@@ -171,7 +187,7 @@ def _recheck_pair(g: Graph, members: tuple[int, ...], kind: str, u: int, v: int)
         sig_u, sig_v = hist(row_u), hist(row_v)
     if sig_u != sig_v:
         raise RuntimeError(
-            f"hashed scan reported a collision ({u}, {v}) that direct "
+            f"sorted scan reported a collision ({u}, {v}) that direct "
             f"comparison rejects; kind={kind}"
         )
     return sig_u
@@ -187,12 +203,13 @@ def verify_resolving(
 
     multiset compares count histograms over all vertex pairs, outer-multiset
     only over pairs outside R, metric compares ordered distance vectors.
-    Signatures are hashed for an O(n) scan; any collision is re-checked by
-    direct comparison before being reported.  The witness is the first
-    collision in ascending vertex order.
+    Signatures are packed into integer words and sorted once; any collision
+    is re-checked by direct comparison before being reported.  The witness
+    is the first collision in ascending vertex order.
 
     Without `rows`, the multiset kinds count sensors per BFS level from the
-    kernel's frontier words and write no distance row.  `rows`, when given,
+    kernel's frontier words, from the graph's level table or streamed (see
+    graphs._frontier_blocks), and write no distance row.  `rows`, when given,
     must be distances_from(g, R) aligned with R's order; histograms are then
     counted from it, a separate path to the same verdict.
     """
@@ -202,16 +219,12 @@ def verify_resolving(
     if kind == KIND_METRIC:
         if rows is None:
             rows = distances_from(g, members)
-        keys: list = [rows[:, v].tobytes() for v in range(g.n)]
-        skip: set[int] = set()
+        keys = rows.T + 1  # UNREACHABLE becomes 0
+    elif rows is None:
+        keys = _level_counts(g, members)
     else:
-        if rows is None:
-            counts = _level_counts(g, members)
-        else:
-            counts = _count_matrix(rows, max(int(rows.max(initial=0)), 0) + 1)
-        keys = [counts[v].tobytes() for v in range(g.n)]
-        skip = set(members) if kind == KIND_OUTER else set()
-    hit = _first_collision(keys, skip)
+        keys = _count_matrix(rows, max(int(rows.max(initial=0)), 0) + 1)
+    hit = _first_collision(keys, members if kind == KIND_OUTER else ())
     if hit is None:
         return ResolvingVerdict(kind=kind, resolving=True)
     u, v = hit
@@ -222,11 +235,11 @@ def verify_resolving(
 
 
 def naive_verify_resolving(g: Graph, R: Sequence[int], kind: str = KIND_MULTISET) -> ResolvingVerdict:
-    """All-pairs reference verifier (quadratic; test oracle for the hashed scan).
+    """All-pairs reference verifier (quadratic; test oracle for the sorted scan).
 
     Computes each vertex's signature from its own BFS and compares every pair
     directly, scanning v ascending with inner u < v, so witnesses match the
-    hashed implementation on agreement.
+    sorted scan on agreement.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +14,19 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from msetdim import Graph, RandomGraphSpec, generate_gnp, is_connected
+from msetdim import graphs
+
+
+@contextmanager
+def streaming(g: Graph):
+    """Within the block, g keeps no level table, so its histograms come
+    from fresh BFS blocks; afterwards the next histogram may sweep one."""
+    assert g not in graphs._TABLES
+    graphs._TABLES[g] = None
+    try:
+        yield
+    finally:
+        del graphs._TABLES[g]
 
 
 def floyd_warshall(g: Graph) -> np.ndarray:
@@ -131,10 +145,11 @@ def exact_binom_pmf_max(trials: int, p: Fraction) -> Fraction:
 
 
 @st.composite
-def small_graphs(draw, connected=False, max_n=64):
-    """Graphs on 1..max_n vertices from raw edge lists: isolated vertices and
-    several components are common unless a spanning path is added."""
-    n = draw(st.integers(1, max_n))
+def small_graphs(draw, connected=False, max_n=64, sizes=None):
+    """Graphs on 1..max_n vertices (or on a number drawn from `sizes`) from
+    raw edge lists: isolated vertices and several components are common
+    unless a spanning path is added."""
+    n = draw(sizes if sizes is not None else st.integers(1, max_n))
     vertex = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
     edges = [(u, v) for u, v in pairs if u != v]

@@ -365,8 +365,15 @@ class TestCampaign:
             ("failure-rate", {"n": 100, "x": 0.5}),
             ("expansion", {"n": 100, "p": 0.1}),
             ("randomized", {"n": 100, "p": 2}),
+            ("randomized", {"n": 100, "p": "0.5"}),
+            ("randomized", {"n": 100, "x": 0.5, "max_rounds": 0}),
+            ("failure-rate", {"n": 100, "x": 0.5, "r": "abc"}),
+            ("randomized", {"n": True, "x": 0.5}),
+            ("expansion", {"n": 100, "x": 0.5, "samples": 2.5}),
+            ("census", {"n": 100, "x": 0.5, "set_size": 101}),
         ],
-        ids=["unknown-key", "no-n", "string-n", "no-r", "no-x", "bad-p"],
+        ids=["unknown-key", "no-n", "string-n", "no-r", "no-x", "bad-p", "string-p",
+             "zero-rounds", "string-r", "bool-n", "fractional-samples", "set-size-over-n"],
     )
     def test_bad_params_rejected_before_any_trial(self, tmp_path, command, params):
         path = tmp_path / "plan.json"

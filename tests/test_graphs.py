@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -35,11 +36,13 @@ from msetdim import (
     typicality_census,
     write_edge_list,
 )
-from msetdim.graphs import BLOCK, _bfs_block, _count_matrix, _level_counts
+import msetdim.graphs as graphs
+from msetdim import CandidateSpec, LocalizationIndex, construct_resolving, verify_resolving
+from msetdim.graphs import BLOCK, _bfs_block, _count_matrix, _level_counts, _level_table
 from msetdim.signatures import _signature_length
 from msetdim.seeding import AUDIT_PAIRS, AUDIT_SINGLES, substream
 
-from .conftest import floyd_warshall, random_graph, scipy_distance_rows, small_graphs
+from .conftest import floyd_warshall, random_graph, scipy_distance_rows, small_graphs, streaming
 
 
 class TestGraphType:
@@ -88,6 +91,15 @@ class TestBfsSpheres:
     def test_empty_sources_rejected(self):
         with pytest.raises(ValueError):
             bfs_spheres(path_graph(3), [])
+
+    @given(small_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_distances_match_floyd_warshall(self, g, data):
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4, unique=True))
+        nearest = floyd_warshall(g)[sources].min(axis=0)
+        expect = np.where(np.isinf(nearest), UNREACHABLE, nearest).astype(np.int32)
+        dist = bfs_distances(g, sources)
+        assert dist.dtype == np.int32 and np.array_equal(dist, expect)
 
     def test_layers_partition_reachable(self, rng):
         for _ in range(25):
@@ -257,6 +269,113 @@ class TestBfsKernel:
             assert level.sensor_ball_total == int(ball[i][members].sum())
             assert level.pairs_by_atypical == int(ball_r[i][atypical[i]].sum())
             assert level.pairs_by_sensor == level.pairs_by_atypical
+
+
+def _count_bfs_levels(monkeypatch) -> list[int]:
+    """The sizes of the source blocks handed to _bfs_levels from now on."""
+    calls: list[int] = []
+    levels = graphs._bfs_levels
+
+    def spy(g, src):
+        calls.append(src.size)
+        return levels(g, src)
+
+    monkeypatch.setattr(graphs, "_bfs_levels", spy)
+    return calls
+
+
+class TestLevelTable:
+    @given(small_graphs(sizes=st.sampled_from([1, 63, 64, 65, 130])), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_table_counts_match_streaming_and_rows(self, g, data):
+        # repeats are common: up to 2n draws from n vertices
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=2 * g.n))
+        rows = distances_from(g, sources)
+        top = int(rows.max())
+        widths = sorted({0, 1, top, top + 1, top + 2, top + 5, data.draw(st.integers(0, top + 5))})
+        with streaming(g):
+            streamed = [_level_counts(g, sources, width) for width in widths]
+        table = _level_table(g)
+        full = distances_from(g, range(g.n))
+        assert [len(block) for block in table] == [
+            int(full[start : start + BLOCK].max()) + 1 for start in range(0, g.n, BLOCK)
+        ]
+        assert all(not words.flags.writeable for block in table for words in block)
+        for width, stream in zip(widths, streamed):
+            expect = _count_matrix(rows, max(top + 1, width))
+            assert np.array_equal(stream, expect)
+            counted = _level_counts(g, sources, width)
+            assert counted.dtype == np.int64 and np.array_equal(counted, expect)
+
+    def test_blocks_keep_their_own_depth(self):
+        # block 0 holds isolated vertices (depth 0), blocks 1 and 2 a path
+        g = Graph.from_edges(130, [(i, i + 1) for i in range(64, 129)])
+        assert [len(block) for block in _level_table(g)] == [1, 66, 66]
+        sources = [0, 5, 64, 129, 129]
+        assert np.array_equal(_level_counts(g, sources), _count_matrix(distances_from(g, sources), 66))
+        assert diameter(g) == math.inf and _signature_length(g) == 66
+
+    def test_one_sweep_serves_construction_census_and_index(self, monkeypatch):
+        calls = _count_bfs_levels(monkeypatch)
+        g = generate_gnp(RandomGraphSpec(n=2000, x=0.4, seed=0))
+        result = construct_resolving(g, CandidateSpec(r=math.sqrt(g.n), seed=0))
+        assert not result.success  # a success would add its confirmation rows
+        R = draw_census_set(g, 45, seed=0)
+        typicality_census(g, R, 3)
+        LocalizationIndex(g, R)
+        # rounds stream until their blocks would reach the sweep's, which
+        # then runs once; the census and the index add only the sensor rows
+        sweep = -(-g.n // BLOCK)
+        streamed = 0
+        for rec in result.rounds:
+            if streamed + -(-rec.sample_size // BLOCK) >= sweep:
+                break
+            streamed += -(-rec.sample_size // BLOCK)
+        assert 0 < streamed < sweep
+        assert len(calls) == streamed + sweep + -(-len(R) // BLOCK)
+
+    def test_rent_or_buy(self, monkeypatch):
+        calls = _count_bfs_levels(monkeypatch)
+        g = generate_gnp(RandomGraphSpec(n=2000, x=0.4, seed=0))
+        sweep = -(-g.n // BLOCK)
+        verdicts = []
+        for i in range(sweep + 8):
+            R = range(i % sweep * BLOCK, min(i % sweep * BLOCK + BLOCK, g.n))
+            verdicts.append(verify_resolving(g, R))
+            # one block per verify until they add up to a sweep, then none
+            assert len(calls) == (i + 1 if i + 1 < sweep else 2 * sweep - 1)
+            assert (g in graphs._TABLES) == (i + 1 >= sweep)
+        assert verdicts[sweep:] == verdicts[: 8]
+
+    def test_disconnected_diameter_sweeps_nothing(self, monkeypatch):
+        calls = _count_bfs_levels(monkeypatch)
+        g = Graph.from_edges(300, [(i, i + 1) for i in range(299) if i != 150])
+        assert diameter(g) == math.inf
+        with pytest.raises(ValueError):
+            LocalizationIndex(g, [0, 299])
+        assert calls == [] and g not in graphs._TABLES
+
+    def test_table_memory_and_bound(self, monkeypatch):
+        g = generate_gnp(RandomGraphSpec(n=2000, x=0.4, seed=0))
+        tracemalloc.start()
+        try:
+            table = _level_table(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(words.nbytes for block in table for words in block) <= 4 * 2**20
+        assert peak <= 4 * 2**20
+        # a path's sweep is n levels deep: 18 blocks of 1100 levels of 1100
+        # words is 174 MB, over the bound, so it keeps no table (giving up
+        # within its first block) and streams
+        long = path_graph(1100)
+        assert 8 * 18 * 1100 * 1100 > graphs.TABLE_BYTES
+        calls = _count_bfs_levels(monkeypatch)
+        assert _level_table(long) is None and calls == [BLOCK]
+        assert diameter(long) == 1099
+        for R in ([0], [5], [3, 700]):
+            assert verify_resolving(long, R) == verify_resolving(long, R, rows=distances_from(long, R))
+        assert np.array_equal(_level_counts(long, [5, 5, 9]), _count_matrix(distances_from(long, [5, 5, 9]), 1095))
 
 
 class TestPredictedDiameter:

@@ -27,7 +27,9 @@ from msetdim import (
     verify_resolving,
 )
 
-from .conftest import random_graph, random_member_set, small_graphs
+from msetdim.graphs import _level_table
+
+from .conftest import random_graph, random_member_set, small_graphs, streaming
 
 
 class TestMultisetSignature:
@@ -154,11 +156,17 @@ class TestVerifyResolving:
     def test_level_counts_and_rows_agree(self, g, data):
         members = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
         rows = distances_from(g, members)
-        for kind in (KIND_MULTISET, KIND_OUTER):
-            counted = verify_resolving(g, members, kind)
-            assert counted == verify_resolving(g, members, kind, rows=rows)
-            naive = naive_verify_resolving(g, members, kind)
-            assert (counted.resolving, counted.witness) == (naive.resolving, naive.witness)
+        def check_kinds():
+            for kind in KINDS:
+                counted = verify_resolving(g, members, kind)
+                assert counted == verify_resolving(g, members, kind, rows=rows)
+                naive = naive_verify_resolving(g, members, kind)
+                assert (counted.resolving, counted.witness) == (naive.resolving, naive.witness)
+
+        with streaming(g):  # fresh BFS blocks
+            check_kinds()
+        assert _level_table(g) is not None
+        check_kinds()  # the level table
 
     def test_outer_ignores_member_pairs(self):
         # K_3 plus a pendant: {0,1} collide but both sit inside R.
