@@ -494,13 +494,14 @@ def _campaign_measurements(command: str, params: dict, trial_seed: int | None = 
     return columns, measure(generate_gnp(dataclasses.replace(spec, seed=trial_seed)))
 
 
-def _campaign_trial(task: tuple) -> tuple[list | None, float]:
+def _campaign_trial(task: tuple) -> tuple[list | str, float]:
     """One seeded trial: (quantity values in column order, elapsed ms).
 
     Per-draw precondition failures (e.g. a disconnected random graph) give
-    values None, recorded as ok=0 with empty value cells, so a long campaign
-    never dies on one bad sample; configuration errors (budget refusals,
-    unknown commands) still abort the whole campaign.
+    the skip message in place of the values, recorded as ok=0 with empty
+    value cells, so a long campaign never dies on one bad sample;
+    configuration errors (budget refusals, unknown commands) still abort the
+    whole campaign.
     """
     command, params, trial, trial_seed = task
     start = time.perf_counter()
@@ -509,8 +510,7 @@ def _campaign_trial(task: tuple) -> tuple[list | None, float]:
     except (exact_mod.BudgetExceededError, InputError):
         raise
     except ValueError as exc:
-        print(f"trial {trial} (seed {trial_seed}) skipped: {exc}", file=sys.stderr)
-        values = None
+        values = f"trial {trial} (seed {trial_seed}) skipped: {exc}"
     return values, (time.perf_counter() - start) * 1e3
 
 
@@ -543,7 +543,10 @@ def cmd_campaign(cfg: dict) -> int:
         header.append("wall_ms")
     rows = []
     for (_, _, trial, trial_seed), (values, elapsed) in zip(tasks, outcomes):
-        ok = values is not None
+        ok = not isinstance(values, str)
+        if not ok:
+            # printed here, not in the worker, so stderr keeps trial order
+            print(values, file=sys.stderr)
         row = [trial, trial_seed, params.get("n"), params.get("x"), int(ok),
                *(values if ok else [""] * len(columns))]
         if timings:

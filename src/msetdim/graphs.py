@@ -85,11 +85,11 @@ class Graph:
         edge_arr = np.column_stack([lo, hi]).astype(np.int64)
         both_src = np.concatenate([lo, hi])
         both_dst = np.concatenate([hi, lo])
-        order = np.lexsort((both_dst, both_src))
-        indices = both_dst[order].astype(np.int32)
+        # native-width indices, so gathering by them casts nothing
+        order = np.argsort(both_src * n + both_dst, kind="stable")
+        indices = both_dst[order].astype(np.intp)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, both_src + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(both_src, minlength=n), out=indptr[1:])
         for a in (edge_arr, indices, indptr):
             a.setflags(write=False)
         return Graph(n=int(n), _indptr=indptr, _indices=indices, _edges=edge_arr)
@@ -223,22 +223,40 @@ def _bfs_levels(g: Graph, src: np.ndarray) -> Iterator[np.ndarray]:
     """uint64 frontier words of each BFS level from at most BLOCK sources.
 
     Level 0 first; bit j of a vertex's word at level d is set when the vertex
-    is at distance d from src[j].  One level of all the searches is one OR
-    over every vertex's neighbor words.  Callers must not modify the words.
+    is at distance d from src[j].  A step advances all the searches at once,
+    in one of two ways (Beamer, Asanovic and Patterson, SC'12): a frontier
+    whose vertices hold under an eighth of the 2m adjacency entries scatters
+    its words into their neighbors (top-down); a larger one ORs every
+    vertex's neighbor words (bottom-up).  Once every vertex holds every
+    source bit, the level just yielded is the last, and the step that could
+    only find an empty frontier is skipped.  Callers must not modify the
+    words.
     """
     n = g.n
     indptr, indices = g._indptr, g._indices
+    degrees = g.degrees
     frontier = np.zeros(n, dtype=np.uint64)
     np.bitwise_or.at(frontier, src, np.uint64(1) << np.arange(src.size, dtype=np.uint64))
     visited = frontier.copy()
+    full = np.uint64((1 << src.size) - 1)
     # reduceat reads an empty segment as its first element, so vertices of
     # degree 0 are left out and keep an empty word
-    linked = np.flatnonzero(np.diff(indptr))
+    linked = np.flatnonzero(degrees)
     starts = indptr[linked]
     while frontier.any():
         yield frontier
+        if (visited == full).all():
+            return
+        active = np.flatnonzero(frontier)
+        lens = degrees[active]
+        edges = int(lens.sum())
         reached = np.zeros(n, dtype=np.uint64)
-        reached[linked] = np.bitwise_or.reduceat(frontier[indices], starts)
+        if 8 * edges < indices.size:
+            # positions indptr[v] .. indptr[v+1]-1 of each active v, in order
+            entries = np.repeat(indptr[active + 1] - np.cumsum(lens), lens) + np.arange(edges)
+            np.bitwise_or.at(reached, indices[entries], np.repeat(frontier[active], lens))
+        else:
+            reached[linked] = np.bitwise_or.reduceat(frontier[indices], starts)
         frontier = reached & ~visited
         visited |= frontier
 

@@ -356,6 +356,23 @@ class TestCampaign:
         assert {r[4] for r in rows} <= {"0", "1"}
         assert any(r[4] == "0" for r in rows)  # seed 4 plan has disconnected draws
 
+    def test_skip_lines_in_trial_order_at_any_thread_count(self, tmp_path):
+        # every draw of G(60, p = 0.05) is disconnected, so every trial is
+        # skipped and reports it on stderr
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"command": "randomized", "trials": 8, "seed": 4,
+                                    "params": {"n": 60, "p": 0.05, "max_rounds": 2}}))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"camp{threads}.csv"
+            res = run_cli("campaign", str(plan), "--threads", threads, "--out", str(out))
+            assert res.returncode == 0
+            outputs.append((res.stderr, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        lines = outputs[0][0].splitlines()
+        assert [line.split(" (")[0] for line in lines] == [f"trial {t}" for t in range(8)]
+        assert all("skipped" in line for line in lines)
+
     @pytest.mark.parametrize(
         "command,params",
         [

@@ -271,6 +271,75 @@ class TestBfsKernel:
             assert level.pairs_by_sensor == level.pairs_by_atypical
 
 
+def _oracle_levels(g: Graph, src: np.ndarray) -> list[np.ndarray]:
+    """Per level d, the words whose bit j marks the vertices at distance d
+    from src[j], from Floyd-Warshall (n <= 64) or scipy rows (larger n)."""
+    rows = floyd_warshall(g)[src] if g.n <= 64 else scipy_distance_rows(g, src)
+    j, v = np.nonzero(np.isfinite(rows))
+    dist = rows[j, v].astype(np.int64)
+    words = np.zeros((int(dist.max()) + 1, g.n), dtype=np.uint64)
+    np.bitwise_or.at(words, (dist, v), np.uint64(1) << j.astype(np.uint64))
+    return list(words)
+
+
+def _sparse_steps(g: Graph, levels: list[np.ndarray]) -> list[bool]:
+    """Per step after a level, whether its frontier is sparse enough for the
+    top-down scatter: its vertices' adjacency entries under an eighth of 2m."""
+    return [8 * int(g.degrees[words != 0].sum()) < 2 * g.num_edges for words in levels[:-1]]
+
+
+class TestLevelSteps:
+    """`_bfs_levels` against distance oracles: one level per distance up to
+    the block's depth, no trailing empty level, bit j set exactly at d(src[j], v)."""
+
+    def check(self, g: Graph, src) -> list[np.ndarray]:
+        src = np.asarray(src, dtype=np.int64)
+        levels = list(graphs._bfs_levels(g, src))
+        expect = _oracle_levels(g, src)
+        assert len(levels) == len(expect) and levels[-1].any()
+        for words, want in zip(levels, expect):
+            assert words.dtype == np.uint64 and np.array_equal(words, want)
+        return levels
+
+    @given(small_graphs(sizes=st.sampled_from([1, 63, 64, 65, 130])), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_levels_match_oracles(self, g, data):
+        # repeats are common: up to 64 draws from n vertices
+        size = data.draw(st.integers(1, BLOCK))
+        self.check(g, data.draw(st.lists(st.integers(0, g.n - 1), min_size=size, max_size=size)))
+
+    @pytest.mark.parametrize("make", [path_graph, cycle_graph], ids=["path", "cycle"])
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_long_graphs_step_top_down(self, make, data):
+        g = make(2000)
+        size = data.draw(st.integers(1, BLOCK))
+        src = data.draw(st.lists(st.integers(0, g.n - 1), min_size=size, max_size=size))
+        levels = self.check(g, src)
+        assert all(_sparse_steps(g, levels))
+
+    def test_dense_block_uses_both_steps_and_stops_at_saturation(self):
+        g = generate_gnp(RandomGraphSpec(n=2000, x=0.4, seed=0))
+        levels = self.check(g, np.arange(BLOCK))
+        steps = _sparse_steps(g, levels)
+        assert any(steps) and not all(steps)
+        # the graph is connected: every vertex holds every source bit by the
+        # last level, and the kernel ends there
+        assert (np.bitwise_or.reduce(levels) == np.uint64(2**64 - 1)).all()
+
+    @given(small_graphs(sizes=st.sampled_from([1, 2, 63, 64, 65, 130])))
+    @settings(max_examples=40, deadline=None)
+    def test_csr_is_native_width_and_matches_lexsort(self, g):
+        edges = g.edge_array
+        both_src = np.concatenate([edges[:, 0], edges[:, 1]])
+        both_dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        indptr = np.zeros(g.n + 1, dtype=np.int64)
+        np.add.at(indptr, both_src + 1, 1)
+        assert g._indices.dtype == np.intp and not g._indices.flags.writeable
+        assert np.array_equal(g._indices, both_dst[np.lexsort((both_dst, both_src))])
+        assert np.array_equal(g._indptr, np.cumsum(indptr))
+
+
 def _count_bfs_levels(monkeypatch) -> list[int]:
     """The sizes of the source blocks handed to _bfs_levels from now on."""
     calls: list[int] = []
