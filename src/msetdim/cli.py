@@ -92,17 +92,24 @@ def _emit(
         print(json.dumps({"config": config, **payload}, sort_keys=True, indent=2))
 
 
+def _read_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path; any other document is an InputError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be a JSON object, got {doc!r}")
+    return doc
+
+
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS[command])
     provided = vars(args)
-    file_cfg = {}
     if provided.get("config"):
-        with open(provided["config"], "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        file_cfg = _read_object(provided["config"], "config file")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise InputError(f"unknown config keys for {command}: {sorted(unknown)}")
-    cfg.update(file_cfg)
+        cfg.update(file_cfg)
     for key, value in provided.items():
         if key in cfg and value is not None:
             cfg[key] = value
@@ -334,7 +341,7 @@ def cmd_census(cfg: dict) -> int:
     if cfg.get("set"):
         members = tuple(int(t) for t in str(cfg["set"]).split(",") if t != "")
     else:
-        size = cfg.get("set_size") or _census_size(g.n)
+        size = _census_size(g.n) if cfg.get("set_size") is None else cfg["set_size"]
         members = draw_census_set(g, int(size), int(cfg["seed"]))
     if cfg.get("k") is not None:
         k = int(cfg["k"])
@@ -395,14 +402,16 @@ def _check_param(command: str, name: str, value, kind: type, low: int, strict: b
         if value > low if strict else value >= low:
             return
     rule = f"{'an integer' if kind is int else 'a number'} {'>' if strict else '>='} {low}"
-    raise InputError(f"campaign {command}: params.{name} must be {rule}, got {value!r}")
+    raise InputError(f"campaign {command}: {name} must be {rule}, got {value!r}")
 
 
 def _campaign_plan(command: str, params: dict) -> tuple[RandomGraphSpec, dict]:
     """The plan's graph (seed 0) and its params over the command's defaults,
     every given param checked against its rule before any trial runs."""
-    if command not in _CAMPAIGN_PARAMS:
+    if not isinstance(command, str) or command not in _CAMPAIGN_PARAMS:
         raise InputError(f"unknown campaign command {command!r}")
+    if not isinstance(params, dict):
+        raise InputError(f"campaign {command}: params must be a JSON object, got {params!r}")
     rules = {**_GRAPH_PARAMS, **_CAMPAIGN_PARAMS[command]}
     unknown = set(params) - set(rules)
     if unknown:
@@ -412,7 +421,7 @@ def _campaign_plan(command: str, params: dict) -> tuple[RandomGraphSpec, dict]:
             raise InputError(f"campaign {command} needs params.{name}")
     for name, value in params.items():
         if value is not None:
-            _check_param(command, name, value, *rules[name][1:])
+            _check_param(command, f"params.{name}", value, *rules[name][1:])
     try:
         spec = RandomGraphSpec(n=params["n"], p=params.get("p"), x=params.get("x"), seed=0)
     except ValueError as exc:
@@ -517,14 +526,13 @@ def _campaign_trial(task: tuple) -> tuple[list | str, float]:
 def cmd_campaign(cfg: dict) -> int:
     if not cfg.get("config_file"):
         raise InputError("campaign needs a config file")
-    with open(cfg["config_file"], "r", encoding="utf-8") as fh:
-        plan = json.load(fh)
+    plan = _read_object(cfg["config_file"], "campaign plan")
     for key in ("command", "trials", "seed"):
         if key not in plan:
             raise InputError(f"campaign config missing {key!r}")
-    command = plan["command"]
-    trials = int(plan["trials"])
-    master = int(plan["seed"])
+    command, trials, master = plan["command"], plan["trials"], plan["seed"]
+    _check_param(command, "trials", trials, int, 0, False)
+    _check_param(command, "seed", master, int, 0, False)
     params = plan.get("params", {})
     timings = bool(cfg.get("timings"))
     columns, _ = _campaign_measurements(command, params)

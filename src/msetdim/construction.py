@@ -136,8 +136,9 @@ def construct_resolving(g: Graph, spec: CandidateSpec) -> ConstructionResult:
     """Sample, verify, grow until a multiset resolving set is found.
 
     Rounds count each vertex's sensors per BFS level and hold O(n * diam)
-    counts, never a distance row; once their BFS blocks add up to a full
-    sweep, they read the graph's level table (see graphs._frontier_blocks).
+    counts, never a distance row; the first round sweeps the graph's level
+    table and every round reads it, unless it would not fit (see
+    graphs._frontier_blocks).
     A round that redraws the last verified set (every round once r reaches
     n) reuses its verdict.  A set the loop accepts is re-verified from its
     distance rows, a separate path, before being reported.  Failure after

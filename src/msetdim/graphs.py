@@ -298,18 +298,15 @@ def _probes(g: Graph, probes: Sequence[int]) -> np.ndarray:
     return src
 
 
-def _source_blocks(g: Graph, probes: Sequence[int]) -> Iterator[np.ndarray]:
-    """Consecutive slices of at most BLOCK probes, all range-checked first."""
-    src = _probes(g, probes)
+def _blocks(src: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive slices of at most BLOCK probes, checked by _probes."""
     for start in range(0, src.size, BLOCK):
         yield src[start : start + BLOCK]
 
 
-# Per graph, its level table once swept (None when it keeps none), and the
-# BFS blocks streamed for it before that.  Keyed by identity and dropped with
-# the graph; a pickled graph leaves both behind.
+# Per graph, its level table once swept (None when it keeps none).  Keyed by
+# identity and dropped with the graph; a pickled graph leaves it behind.
 _TABLES: "weakref.WeakKeyDictionary[Graph, tuple | None]" = weakref.WeakKeyDictionary()
-_STREAMED: "weakref.WeakKeyDictionary[Graph, int]" = weakref.WeakKeyDictionary()
 
 
 def _level_table(g: Graph) -> tuple[tuple[np.ndarray, ...], ...] | None:
@@ -331,7 +328,7 @@ def _sweep_levels(g: Graph) -> tuple[tuple[np.ndarray, ...], ...] | None:
     blocks = -(-n // BLOCK)
     table: list[tuple[np.ndarray, ...]] = []
     words = 0
-    for b, src in enumerate(_source_blocks(g, range(n))):
+    for b, src in enumerate(_blocks(_probes(g, range(n)))):
         levels = []
         for frontier in _bfs_levels(g, src):
             frontier.setflags(write=False)
@@ -348,28 +345,18 @@ def _frontier_blocks(
 ) -> Iterator[tuple[Iterable[np.ndarray], np.uint64]]:
     """(level words, member mask) per block of sources.
 
-    The one place that decides between the level table and streaming, by
-    rent-or-buy: the graph's table is swept once the BFS blocks streamed for
-    it, this call's included, reach the ceil(n/BLOCK) blocks of the sweep, so
-    any sequence of calls runs at most about twice the blocks of the cheaper
-    of never and always sweeping.  An all-sources call sweeps at once; a
-    lone small one streams.
-
-    Streaming, each BLOCK consecutive sources get a fresh BFS and the mask
-    of their bits.  From the table, a block is the sweep's block of the
-    sources it holds, masked to their bits; a source listed k times is
-    masked in k passes, so repeats count as in the BFS path.
+    The one place that decides between the level table and streaming: the
+    first call on a graph sweeps its table, and every call reads it when it
+    fits TABLE_BYTES.  A graph over the bound streams: each BLOCK
+    consecutive sources get a fresh BFS and the mask of their bits.  From
+    the table, a block is the sweep's block of the sources it holds, masked
+    to their bits; a source listed k times is masked in k passes, so repeats
+    count as in the BFS path.
     """
     src = _probes(g, sources)
-    streamed = _STREAMED.get(g, 0) + -(-src.size // BLOCK)
-    if g in _TABLES or streamed >= -(-g.n // BLOCK):
-        table = _level_table(g)
-    else:
-        _STREAMED[g] = streamed
-        table = None
+    table = _level_table(g)
     if table is None:
-        for start in range(0, src.size, BLOCK):
-            block = src[start : start + BLOCK]
+        for block in _blocks(src):
             yield _bfs_levels(g, block), np.uint64((1 << block.size) - 1)
         return
     vertices, repeats = np.unique(src, return_counts=True)
@@ -399,9 +386,10 @@ def _level_counts(g: Graph, sources: Sequence[int], width: int = 0) -> np.ndarra
     last those in other components.  Equals _count_matrix(distances_from(g,
     sources), max(L+1, width)), but adds the popcounts of the sources' bits
     in the level-d frontier words into column d, so no distance row is
-    written.  The words come from the graph's level table or from a fresh
-    BFS per BLOCK sources, as _frontier_blocks decides; memory is O(n * L)
-    on top of the table or one block."""
+    written.  The words come from the graph's level table, swept on the
+    first call, or from a fresh BFS per BLOCK sources when the table would
+    not fit TABLE_BYTES (see _frontier_blocks); memory is O(n * L) on top
+    of the table or one block."""
     columns = [np.zeros(g.n, dtype=np.int64) for _ in range(width)]
     for levels, mask in _frontier_blocks(g, sources):
         for level, frontier in enumerate(levels):
@@ -417,14 +405,14 @@ def _level_counts(g: Graph, sources: Sequence[int], width: int = 0) -> np.ndarra
 def _deepest_level(g: Graph) -> int:
     """The largest finite distance between two vertices: the depth of the
     deepest all-sources block, read from the level table when the graph
-    keeps one (an all-sources call sweeps it)."""
+    keeps one, streamed when it is over TABLE_BYTES."""
     return max(sum(1 for _ in levels) for levels, _ in _frontier_blocks(g, range(g.n))) - 1
 
 
 def distances_from(g: Graph, probes: Sequence[int]) -> np.ndarray:
     """(len(probes), n) matrix of single-source BFS distances."""
     rows = np.empty((len(probes), g.n), dtype=np.int32)
-    for i, src in enumerate(_source_blocks(g, probes)):
+    for i, src in enumerate(_blocks(_probes(g, probes))):
         rows[i * BLOCK : i * BLOCK + src.size] = _bfs_block(g, src)
     return rows
 
@@ -718,9 +706,9 @@ def audit_expansion(
     # The graph is connected, so every row is finite and bincount gives the
     # sphere sizes; a pair's row is the minimum of its endpoints' rows.
     sizes: dict[int, list[np.ndarray]] = {1: [], 2: []}
-    for src in _source_blocks(g, singles):
+    for src in _blocks(_probes(g, singles)):
         sizes[1].extend(np.bincount(row) for row in _bfs_block(g, src))
-    for src_a, src_b in zip(_source_blocks(g, a), _source_blocks(g, b)):
+    for src_a, src_b in zip(_blocks(_probes(g, a)), _blocks(_probes(g, b))):
         pair_rows = np.minimum(_bfs_block(g, src_a), _bfs_block(g, src_b))
         sizes[2].extend(np.bincount(row) for row in pair_rows)
     reached_top = any(len(counts) > top for s in (1, 2) for counts in sizes[s])

@@ -208,8 +208,9 @@ def verify_resolving(
     is the first collision in ascending vertex order.
 
     Without `rows`, the multiset kinds count sensors per BFS level from the
-    kernel's frontier words, from the graph's level table or streamed (see
-    graphs._frontier_blocks), and write no distance row.  `rows`, when given,
+    kernel's frontier words and write no distance row: from the graph's
+    level table, which the first such call sweeps, or streamed when the
+    table would not fit (see graphs._frontier_blocks).  `rows`, when given,
     must be distances_from(g, R) aligned with R's order; histograms are then
     counted from it, a separate path to the same verdict.
     """

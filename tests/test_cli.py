@@ -257,17 +257,20 @@ class TestExpansionAndCensus:
         assert res.returncode == 3
         assert "duplicates" in res.stderr
 
+    def test_census_rejects_zero_set_size(self, tmp_path):
+        out = tmp_path / "census.csv"
+        res = run_cli("census", "--n", "100", "--x", "0.5", "--set-size", "0", "--out", str(out))
+        assert res.returncode == 3
+        assert res.stderr.startswith("input error:") and not out.exists()
+
+
+EXACT_PLAN = {"command": "exact", "trials": 2, "seed": 99, "params": {"n": 8, "p": 0.4, "budget": 10}}
+
 
 class TestCampaign:
     def _plan(self, tmp_path, trials: int) -> str:
-        plan = {
-            "command": "exact",
-            "trials": trials,
-            "seed": 99,
-            "params": {"n": 8, "p": 0.4, "budget": 10},
-        }
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps(plan))
+        path.write_text(json.dumps({**EXACT_PLAN, "trials": trials}))
         return str(path)
 
     def test_zero_trials_header_only(self, tmp_path):
@@ -397,6 +400,39 @@ class TestCampaign:
         path.write_text(json.dumps({"command": command, "trials": 2, "seed": 1, "params": params}))
         out = tmp_path / "camp.csv"
         res = run_cli("campaign", str(path), "--out", str(out))
+        assert res.returncode == 3
+        assert res.stderr.startswith("input error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,document",
+        [
+            ("--config", "5"),
+            (None, "5"),
+            (None, '["command", "trials", "seed"]'),
+            (None, json.dumps({**EXACT_PLAN, "params": []})),
+            (None, json.dumps({**EXACT_PLAN, "params": None})),
+            (None, json.dumps({**EXACT_PLAN, "command": 5})),
+            (None, json.dumps({**EXACT_PLAN, "command": ["exact"]})),
+            (None, json.dumps({**EXACT_PLAN, "trials": -3})),
+            (None, json.dumps({**EXACT_PLAN, "trials": 2.7})),
+            (None, json.dumps({**EXACT_PLAN, "trials": True})),
+            (None, json.dumps({**EXACT_PLAN, "seed": -1})),
+            (None, json.dumps({**EXACT_PLAN, "seed": "1"})),
+        ],
+        ids=["config-number", "plan-number", "plan-list", "params-list", "params-null",
+             "command-number", "command-list", "negative-trials", "fractional-trials",
+             "bool-trials", "negative-seed", "string-seed"],
+    )
+    def test_malformed_documents_rejected_before_any_trial(self, tmp_path, flag, document):
+        path = tmp_path / "document.json"
+        path.write_text(document)
+        out = tmp_path / "camp.csv"
+        if flag:  # a valid plan, with the document as --config
+            args = (self._plan(tmp_path, 2), flag, str(path))
+        else:
+            args = (str(path),)
+        res = run_cli("campaign", *args, "--out", str(out))
         assert res.returncode == 3
         assert res.stderr.startswith("input error:")
         assert not out.exists()

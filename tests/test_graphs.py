@@ -225,14 +225,20 @@ class TestBfsKernel:
             + [(rows == UNREACHABLE).sum(axis=0)],
             axis=1,
         )
-        counts = _level_counts(g, sources)
-        assert counts.dtype == np.int64 and counts.shape == (g.n, top + 2)
-        assert np.array_equal(counts, expect)
-        assert np.array_equal(counts, _count_matrix(distances_from(g, sources), top + 1))
-        for width in (0, top, top + 1, top + 2, top + 5):
-            padded = _level_counts(g, sources, width)
-            wide = _count_matrix(distances_from(g, sources), max(top + 1, width))
-            assert padded.dtype == np.int64 and np.array_equal(padded, wide)
+        def check_counts():
+            counts = _level_counts(g, sources)
+            assert counts.dtype == np.int64 and counts.shape == (g.n, top + 2)
+            assert np.array_equal(counts, expect)
+            assert np.array_equal(counts, _count_matrix(distances_from(g, sources), top + 1))
+            for width in (0, top, top + 1, top + 2, top + 5):
+                padded = _level_counts(g, sources, width)
+                wide = _count_matrix(distances_from(g, sources), max(top + 1, width))
+                assert padded.dtype == np.int64 and np.array_equal(padded, wide)
+
+        with streaming(g):  # fresh BFS blocks
+            check_counts()
+        assert _level_table(g) is not None
+        check_counts()  # the level table
 
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)
@@ -392,29 +398,27 @@ class TestLevelTable:
         R = draw_census_set(g, 45, seed=0)
         typicality_census(g, R, 3)
         LocalizationIndex(g, R)
-        # rounds stream until their blocks would reach the sweep's, which
-        # then runs once; the census and the index add only the sensor rows
-        sweep = -(-g.n // BLOCK)
-        streamed = 0
-        for rec in result.rounds:
-            if streamed + -(-rec.sample_size // BLOCK) >= sweep:
-                break
-            streamed += -(-rec.sample_size // BLOCK)
-        assert 0 < streamed < sweep
-        assert len(calls) == streamed + sweep + -(-len(R) // BLOCK)
+        # the first round sweeps the table; the census and the index add
+        # only the sensor rows
+        assert len(calls) == -(-g.n // BLOCK) + -(-len(R) // BLOCK)
 
-    def test_rent_or_buy(self, monkeypatch):
-        calls = _count_bfs_levels(monkeypatch)
+    def test_first_histogram_sweeps_and_later_ones_run_no_bfs(self, monkeypatch):
         g = generate_gnp(RandomGraphSpec(n=2000, x=0.4, seed=0))
-        sweep = -(-g.n // BLOCK)
+        sets = [range(BLOCK), [7], range(100, 1100, 3), range(g.n), range(BLOCK, 2 * BLOCK)]
+        sources = [5, 5, 9, 1999]
+        with streaming(g):
+            expect = [verify_resolving(g, R) for R in sets]
+            expect_counts = _level_counts(g, sources, 6)
+        calls = _count_bfs_levels(monkeypatch)
+        sweep = [min(BLOCK, g.n - start) for start in range(0, g.n, BLOCK)]
         verdicts = []
-        for i in range(sweep + 8):
-            R = range(i % sweep * BLOCK, min(i % sweep * BLOCK + BLOCK, g.n))
+        for R in sets:
             verdicts.append(verify_resolving(g, R))
-            # one block per verify until they add up to a sweep, then none
-            assert len(calls) == (i + 1 if i + 1 < sweep else 2 * sweep - 1)
-            assert (g in graphs._TABLES) == (i + 1 >= sweep)
-        assert verdicts[sweep:] == verdicts[: 8]
+            # the first verify of 64 sources sweeps, every later one runs none
+            assert calls == sweep
+        assert np.array_equal(_level_counts(g, sources, 6), expect_counts)
+        assert calls == sweep and _level_table(g) is not None
+        assert verdicts == expect
 
     def test_disconnected_diameter_sweeps_nothing(self, monkeypatch):
         calls = _count_bfs_levels(monkeypatch)
